@@ -1,13 +1,18 @@
-//! Ablation: single pooled device vs one-GPU-per-user (§5.3.2's discussion).
+//! Ablation: single pooled device vs `d` separate devices (§5.3.2's
+//! discussion).
 //!
 //! Both alternatives consume the same GPU-time. The shipped design treats
 //! the whole pool as one device, so every run finishes `d×` faster in
-//! wall-clock; the alternative trains `d` users concurrently at full cost.
+//! wall-clock; the alternative trains `d` runs concurrently at full cost.
 //! The paper observed the single-device option achieves lower accumulated
 //! regret — it returns a model to *someone* sooner.
+//!
+//! The multi-device side runs on `easeml-exec`'s discrete-event engine
+//! (GP-BUCB dispatch with delayed feedback). Its budget is committed GPU
+//! time, so `d` devices get `d ×` the pooled wall-clock budget and both
+//! curves are read on the same wall-clock grid.
 
 use easeml::prelude::*;
-use easeml::sim::simulate_parallel;
 use easeml_bench::{banner, reps, seed};
 use easeml_data::Dataset;
 use easeml_gp::ArmPrior;
@@ -35,12 +40,12 @@ fn main() {
         let split =
             easeml_data::TrainTestSplit::random(dataset.num_users(), test_users, &mut split_rng);
         let test = dataset.select_users(&split.test_users);
-        let budget = test.total_cost() * 0.10 / devices as f64; // wall-clock
+        let wallclock = test.total_cost() * 0.10 / devices as f64;
         let priors: Vec<ArmPrior> = (0..test_users)
             .map(|_| ArmPrior::independent(test.num_models(), 0.02).with_mean(vec![0.8; 8]))
             .collect();
         let cfg = SimConfig {
-            budget,
+            budget: wallclock,
             cost_aware: true,
             noise_var: 1e-3,
             delta: 0.1,
@@ -60,22 +65,31 @@ fn main() {
             &cfg,
             &mut rng,
         );
-        let mut rng = StdRng::seed_from_u64(seed() ^ rep as u64);
-        let parallel = simulate_parallel(
+        let gpu_time = SimConfig {
+            budget: wallclock * devices as f64,
+            ..cfg.clone()
+        };
+        let parallel = easeml_exec::simulate_multi_device(
             &test,
             &priors,
             SchedulerKind::EaseMl,
-            &cfg,
+            &gpu_time,
             devices,
-            &mut rng,
+            seed() ^ rep as u64,
         );
         pooled_curves.push(pooled.resample(&grid));
-        parallel_curves.push(parallel.resample(&grid));
+        parallel_curves.push(
+            grid.iter()
+                .map(|f| parallel.sim.loss_at(f * wallclock))
+                .collect::<Vec<_>>(),
+        );
     }
 
     println!(
         "{:>12} {:>18} {:>18}",
-        "% wallclock", "pooled (1 device)", "one GPU per user"
+        "% wallclock",
+        "pooled (1 device)",
+        format!("{devices} devices (exec)")
     );
     for (i, f) in grid.iter().enumerate() {
         let p = vec_ops::mean(&pooled_curves.iter().map(|c| c[i]).collect::<Vec<_>>());

@@ -13,8 +13,15 @@
 //! so they are carried as decimal *strings* — everything else fits JSON
 //! numbers losslessly.
 
-use easeml_obs::json::{self, Json};
-use serde::Serialize;
+use crate::fault::{FaultConfig, FaultInjector, FaultRates};
+use crate::retry::RetryPolicy;
+use easeml_obs::json::{
+    self, as_f64, as_object, as_str, as_tuple, as_u64, as_usize, get, get_bool, get_f64,
+    get_f64_or_neg_inf, get_nullable, get_object, get_str, get_u32, get_u64, get_usize, get_vec,
+    Json,
+};
+use easeml_sched::{HybridState, PickRule};
+use serde::{Serialize, Serializer};
 use std::fs::{self, File};
 use std::io::Write as _;
 use std::path::Path;
@@ -165,33 +172,18 @@ pub struct ClusterCheckpoint {
     pub history: Vec<RunCheckpoint>,
 }
 
-/// The retry policy's knobs (mirrors [`crate::retry::RetryPolicy`]).
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct RetryPolicyCheckpoint {
-    /// In-round retries after the first failure.
-    pub max_retries: u64,
-    /// Base backoff cost.
-    pub backoff_cost: f64,
-    /// Backoff multiplier.
-    pub backoff_factor: f64,
-    /// Consecutive failures before quarantine.
-    pub quarantine_threshold: u64,
-    /// Probation length in rounds.
-    pub probation_rounds: u64,
-}
-
 /// Fault-injector configuration and attempt counters (mirrors
 /// [`crate::fault::FaultInjector`]).
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FaultCheckpoint {
     /// Seed, as a decimal string (u64 range exceeds JSON's exact doubles).
     pub seed: String,
-    /// Base rates `[crash, timeout, invalid, straggler]`.
-    pub rates: [f64; 4],
+    /// Base rates, serialized as `[crash, timeout, invalid, straggler]`.
+    pub rates: FaultRates,
     /// Per-user rate overrides.
-    pub user_overrides: Vec<(usize, [f64; 4])>,
+    pub user_overrides: Vec<(usize, FaultRates)>,
     /// Per-arm rate overrides.
-    pub arm_overrides: Vec<(usize, [f64; 4])>,
+    pub arm_overrides: Vec<(usize, FaultRates)>,
     /// Straggler cost multiplier.
     pub straggler_factor: f64,
     /// Fraction of cost consumed before a crash.
@@ -234,7 +226,7 @@ pub struct CheckpointDoc {
     /// Cluster clocks and history.
     pub cluster: ClusterCheckpoint,
     /// Retry policy knobs.
-    pub retry_policy: RetryPolicyCheckpoint,
+    pub retry_policy: RetryPolicy,
     /// Consecutive-failure counters `(user, arm, count)`.
     pub retry_counters: Vec<(usize, usize, u64)>,
     /// Scheduled quarantine releases `(round, user, arm)`.
@@ -259,7 +251,7 @@ impl CheckpointDoc {
     pub fn from_json(input: &str) -> Result<Self, CheckpointError> {
         let doc = json::parse(input)?;
         let fields = as_object(&doc, "checkpoint")?;
-        let version = get_u64(fields, "version")? as u32;
+        let version = get_u32(fields, "version")?;
         match version.cmp(&CHECKPOINT_VERSION) {
             std::cmp::Ordering::Greater => {
                 return Err(CheckpointError::NewerVersion {
@@ -275,81 +267,54 @@ impl CheckpointDoc {
             }
             std::cmp::Ordering::Equal => {}
         }
-        let rng_raw = get(fields, "rng_state")?;
-        let rng_vec = as_array(rng_raw, "rng_state")?;
-        if rng_vec.len() != 4 {
-            return Err(CheckpointError::Malformed(
-                "rng_state must hold 4 words".into(),
-            ));
-        }
-        let mut rng_state: [String; 4] = Default::default();
-        for (i, word) in rng_vec.iter().enumerate() {
-            rng_state[i] = as_str(word, "rng_state word")?.to_string();
-        }
-        let users = as_array(get(fields, "users")?, "users")?
-            .iter()
-            .map(|u| {
-                let f = as_object(u, "user")?;
-                Ok(UserCheckpoint {
-                    name: get_str(f, "name")?,
-                    program: get_str(f, "program")?,
-                })
+        let rng_words = get_vec(fields, "rng_state", |w, what| {
+            as_str(w, what).map(str::to_string)
+        })?;
+        let rng_state: [String; 4] = rng_words
+            .try_into()
+            .map_err(|_| CheckpointError::Malformed("rng_state must hold 4 words".into()))?;
+        let users = get_vec(fields, "users", |u, _| {
+            let f = as_object(u, "user")?;
+            Ok(UserCheckpoint {
+                name: get_str(f, "name")?,
+                program: get_str(f, "program")?,
             })
-            .collect::<Result<Vec<_>, String>>()?;
-        let tenants = as_array(get(fields, "tenants")?, "tenants")?
-            .iter()
-            .map(|t| {
-                let f = as_object(t, "tenant")?;
-                let observations = as_array(get(f, "observations")?, "observations")?
-                    .iter()
-                    .map(|pair| parse_pair(pair, "observation"))
-                    .collect::<Result<Vec<_>, String>>()?;
-                let masked = parse_usize_array(get(f, "masked")?, "masked")?;
-                Ok(TenantCheckpoint {
-                    observations,
-                    masked,
-                    active: get_bool(f, "active")?,
-                })
+        })?;
+        let tenants = get_vec(fields, "tenants", |t, _| {
+            let f = as_object(t, "tenant")?;
+            Ok(TenantCheckpoint {
+                observations: get_vec(f, "observations", |pair, _| {
+                    let [arm, reward] = as_tuple(pair, "observation")?;
+                    Ok((
+                        as_usize(arm, "observation")?,
+                        as_f64(reward, "observation")?,
+                    ))
+                })?,
+                masked: get_vec(f, "masked", as_usize)?,
+                active: get_bool(f, "active")?,
             })
-            .collect::<Result<Vec<_>, String>>()?;
-        let picker = {
-            let f = as_object(get(fields, "picker")?, "picker")?;
-            PickerCheckpoint {
-                rule: get_str(f, "rule")?,
-                patience: get_u64(f, "patience")?,
-                frozen_rounds: get_u64(f, "frozen_rounds")?,
-                prev_candidates: parse_usize_array(get(f, "prev_candidates")?, "prev_candidates")?,
-                prev_best_sum: get_f64_or_neg_inf(f, "prev_best_sum")?,
-                switched: get_bool(f, "switched")?,
-                rr_cursor: get_u64(f, "rr_cursor")?,
-            }
-        };
+        })?;
         let cluster = {
-            let f = as_object(get(fields, "cluster")?, "cluster")?;
-            let device_free_at = parse_f64_array(get(f, "device_free_at")?, "device_free_at")?;
-            let history = as_array(get(f, "history")?, "history")?
-                .iter()
-                .map(|r| {
+            let f = get_object(fields, "cluster")?;
+            ClusterCheckpoint {
+                device_free_at: get_vec(f, "device_free_at", as_f64)?,
+                history: get_vec(f, "history", |r, _| {
                     let f = as_object(r, "run")?;
                     Ok(RunCheckpoint {
-                        user: get_u64(f, "user")? as usize,
-                        model: get_u64(f, "model")? as usize,
+                        user: get_usize(f, "user")?,
+                        model: get_usize(f, "model")?,
                         cost: get_f64(f, "cost")?,
                         censored: get_bool(f, "censored")?,
-                        device: get_u64(f, "device")? as usize,
+                        device: get_usize(f, "device")?,
                         started_at: get_f64(f, "started_at")?,
                         finished_at: get_f64(f, "finished_at")?,
                     })
-                })
-                .collect::<Result<Vec<_>, String>>()?;
-            ClusterCheckpoint {
-                device_free_at,
-                history,
+                })?,
             }
         };
         let retry_policy = {
-            let f = as_object(get(fields, "retry_policy")?, "retry_policy")?;
-            RetryPolicyCheckpoint {
+            let f = get_object(fields, "retry_policy")?;
+            RetryPolicy {
                 max_retries: get_u64(f, "max_retries")?,
                 backoff_cost: get_f64(f, "backoff_cost")?,
                 backoff_factor: get_f64(f, "backoff_factor")?,
@@ -357,46 +322,11 @@ impl CheckpointDoc {
                 probation_rounds: get_u64(f, "probation_rounds")?,
             }
         };
-        let retry_counters = as_array(get(fields, "retry_counters")?, "retry_counters")?
-            .iter()
-            .map(|t| parse_triple(t, "retry counter"))
-            .collect::<Result<Vec<_>, String>>()?
-            .into_iter()
-            .map(|(a, b, c)| (a as usize, b as usize, c))
-            .collect();
-        let retry_releases = as_array(get(fields, "retry_releases")?, "retry_releases")?
-            .iter()
-            .map(|t| parse_triple(t, "retry release"))
-            .collect::<Result<Vec<_>, String>>()?
-            .into_iter()
-            .map(|(a, b, c)| (a, b as usize, c as usize))
-            .collect();
-        let fault = match get(fields, "fault")? {
-            Json::Null => None,
-            value => {
-                let f = as_object(value, "fault")?;
-                let rates = parse_rates(get(f, "rates")?, "rates")?;
-                let user_overrides = parse_overrides(get(f, "user_overrides")?, "user_overrides")?;
-                let arm_overrides = parse_overrides(get(f, "arm_overrides")?, "arm_overrides")?;
-                let attempts = as_array(get(f, "attempts")?, "attempts")?
-                    .iter()
-                    .map(|t| parse_triple(t, "attempt counter"))
-                    .collect::<Result<Vec<_>, String>>()?
-                    .into_iter()
-                    .map(|(a, b, c)| (a as usize, b as usize, c))
-                    .collect();
-                Some(FaultCheckpoint {
-                    seed: get_str(f, "seed")?,
-                    rates,
-                    user_overrides,
-                    arm_overrides,
-                    straggler_factor: get_f64(f, "straggler_factor")?,
-                    crash_cost_fraction: get_f64(f, "crash_cost_fraction")?,
-                    timeout_factor: get_f64(f, "timeout_factor")?,
-                    attempts,
-                })
-            }
-        };
+        let retry_counters = get_vec(fields, "retry_counters", cell_counter)?;
+        let retry_releases = get_vec(fields, "retry_releases", |t, what| {
+            let [round, user, arm] = int_triple(t, what)?;
+            Ok((round, user as usize, arm as usize))
+        })?;
         Ok(CheckpointDoc {
             version,
             rng_state,
@@ -410,12 +340,179 @@ impl CheckpointDoc {
             witness_top_k: get_u64(fields, "witness_top_k")?,
             users,
             tenants,
-            picker,
+            picker: PickerCheckpoint::from_value(get(fields, "picker")?, "picker")?,
             cluster,
             retry_policy,
             retry_counters,
             retry_releases,
-            fault,
+            fault: get_nullable(fields, "fault", FaultCheckpoint::from_value)?,
+        })
+    }
+}
+
+impl PickerCheckpoint {
+    /// Snapshots a HYBRID picker's exported state.
+    pub fn of(state: HybridState) -> Self {
+        PickerCheckpoint {
+            rule: state.rule.name().to_string(),
+            patience: state.patience as u64,
+            frozen_rounds: state.frozen_rounds as u64,
+            prev_candidates: state.prev_candidates,
+            prev_best_sum: state.prev_best_sum,
+            switched: state.switched,
+            rr_cursor: state.rr_cursor as u64,
+        }
+    }
+
+    /// The picker state to resume from, validated against a run with
+    /// `users` tenants.
+    ///
+    /// # Errors
+    ///
+    /// An unknown rule name, a zero patience, or a candidate that is not a
+    /// tenant index.
+    pub fn to_state(&self, users: usize) -> Result<HybridState, String> {
+        let rule = PickRule::from_name(&self.rule)
+            .ok_or_else(|| format!("unknown picker rule {:?}", self.rule))?;
+        if self.patience == 0 {
+            return Err("picker patience must be positive".into());
+        }
+        if let Some(&user) = self.prev_candidates.iter().find(|&&u| u >= users) {
+            return Err(format!(
+                "picker candidate {user} out of range ({users} users)"
+            ));
+        }
+        Ok(HybridState {
+            rule,
+            patience: self.patience as usize,
+            frozen_rounds: self.frozen_rounds as usize,
+            prev_candidates: self.prev_candidates.clone(),
+            prev_best_sum: self.prev_best_sum,
+            switched: self.switched,
+            rr_cursor: self.rr_cursor as usize,
+        })
+    }
+
+    /// Parses the record from its JSON object (`what` names it in errors).
+    ///
+    /// # Errors
+    ///
+    /// A message naming the malformed or missing field.
+    pub fn from_value(value: &Json, what: &str) -> Result<Self, String> {
+        let f = as_object(value, what)?;
+        Ok(PickerCheckpoint {
+            rule: get_str(f, "rule")?,
+            patience: get_u64(f, "patience")?,
+            frozen_rounds: get_u64(f, "frozen_rounds")?,
+            prev_candidates: get_vec(f, "prev_candidates", as_usize)?,
+            prev_best_sum: get_f64_or_neg_inf(f, "prev_best_sum")?,
+            switched: get_bool(f, "switched")?,
+            rr_cursor: get_u64(f, "rr_cursor")?,
+        })
+    }
+}
+
+fn int_triple(value: &Json, what: &str) -> Result<[u64; 3], String> {
+    let [a, b, c] = as_tuple(value, what)?;
+    Ok([as_u64(a, what)?, as_u64(b, what)?, as_u64(c, what)?])
+}
+
+/// A `[user, arm, count]` counter.
+fn cell_counter(value: &Json, what: &str) -> Result<(usize, usize, u64), String> {
+    let [user, arm, n] = int_triple(value, what)?;
+    Ok((user as usize, arm as usize, n))
+}
+
+/// Fault rates travel as `[crash, timeout, invalid, straggler]`.
+impl Serialize for FaultRates {
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        [self.crash, self.timeout, self.invalid, self.straggler].serialize(serializer)
+    }
+}
+
+fn parse_rates(value: &Json, what: &str) -> Result<FaultRates, String> {
+    let [crash, timeout, invalid, straggler] = as_tuple::<4>(value, what)?.each_ref();
+    Ok(FaultRates {
+        crash: as_f64(crash, what)?,
+        timeout: as_f64(timeout, what)?,
+        invalid: as_f64(invalid, what)?,
+        straggler: as_f64(straggler, what)?,
+    })
+}
+
+fn parse_overrides(value: &Json, what: &str) -> Result<(usize, FaultRates), String> {
+    let [key, rates] = as_tuple(value, what)?;
+    Ok((as_usize(key, what)?, parse_rates(rates, what)?))
+}
+
+impl FaultCheckpoint {
+    /// Snapshots an injector's configuration and attempt counters.
+    pub fn of(injector: &FaultInjector) -> Self {
+        let c = injector.config();
+        FaultCheckpoint {
+            seed: encode_u64(c.seed),
+            rates: c.rates,
+            user_overrides: c.user_overrides.iter().map(|(&u, &r)| (u, r)).collect(),
+            arm_overrides: c.arm_overrides.iter().map(|(&a, &r)| (a, r)).collect(),
+            straggler_factor: c.straggler_factor,
+            crash_cost_fraction: c.crash_cost_fraction,
+            timeout_factor: c.timeout_factor,
+            attempts: injector
+                .attempts()
+                .iter()
+                .map(|(&(u, a), &n)| (u, a, n))
+                .collect(),
+        }
+    }
+
+    /// Rebuilds the injector, attempt counters included. `arms_of(user)`
+    /// is the tenant's arm count, or `None` for an unknown tenant; every
+    /// attempt counter must name a real `(user, arm)` cell.
+    ///
+    /// # Errors
+    ///
+    /// A malformed seed or an out-of-range attempt counter.
+    pub fn to_injector(
+        &self,
+        arms_of: impl Fn(usize) -> Option<usize>,
+    ) -> Result<FaultInjector, String> {
+        if let Some(&(user, arm, _)) = self
+            .attempts
+            .iter()
+            .find(|&&(user, arm, _)| arms_of(user).is_none_or(|arms| arm >= arms))
+        {
+            return Err(format!(
+                "fault attempt counter ({user}, {arm}) out of range"
+            ));
+        }
+        let mut config = FaultConfig::new(decode_u64(&self.seed)?);
+        config.rates = self.rates;
+        config.user_overrides = self.user_overrides.iter().copied().collect();
+        config.arm_overrides = self.arm_overrides.iter().copied().collect();
+        config.straggler_factor = self.straggler_factor;
+        config.crash_cost_fraction = self.crash_cost_fraction;
+        config.timeout_factor = self.timeout_factor;
+        let mut injector = FaultInjector::new(config);
+        injector.restore_attempts(self.attempts.iter().map(|&(u, a, n)| ((u, a), n)).collect());
+        Ok(injector)
+    }
+
+    /// Parses the record from its JSON object (`what` names it in errors).
+    ///
+    /// # Errors
+    ///
+    /// A message naming the malformed or missing field.
+    pub fn from_value(value: &Json, what: &str) -> Result<Self, String> {
+        let f = as_object(value, what)?;
+        Ok(FaultCheckpoint {
+            seed: get_str(f, "seed")?,
+            rates: parse_rates(get(f, "rates")?, "rates")?,
+            user_overrides: get_vec(f, "user_overrides", parse_overrides)?,
+            arm_overrides: get_vec(f, "arm_overrides", parse_overrides)?,
+            straggler_factor: get_f64(f, "straggler_factor")?,
+            crash_cost_fraction: get_f64(f, "crash_cost_fraction")?,
+            timeout_factor: get_f64(f, "timeout_factor")?,
+            attempts: get_vec(f, "attempts", cell_counter)?,
         })
     }
 }
@@ -492,129 +589,6 @@ pub fn read_checkpoint_file(path: &Path) -> Result<CheckpointDoc, CheckpointErro
     })
 }
 
-fn get<'a>(fields: &'a [(String, Json)], key: &str) -> Result<&'a Json, String> {
-    fields
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| format!("missing field {key:?}"))
-}
-
-fn as_object<'a>(value: &'a Json, what: &str) -> Result<&'a [(String, Json)], String> {
-    match value {
-        Json::Object(fields) => Ok(fields),
-        other => Err(format!("{what}: expected an object, got {other:?}")),
-    }
-}
-
-fn as_array<'a>(value: &'a Json, what: &str) -> Result<&'a [Json], String> {
-    match value {
-        Json::Array(items) => Ok(items),
-        other => Err(format!("{what}: expected an array, got {other:?}")),
-    }
-}
-
-fn as_f64(value: &Json, what: &str) -> Result<f64, String> {
-    match value {
-        Json::Number(n) => Ok(*n),
-        other => Err(format!("{what}: expected a number, got {other:?}")),
-    }
-}
-
-fn as_str<'a>(value: &'a Json, what: &str) -> Result<&'a str, String> {
-    match value {
-        Json::String(s) => Ok(s),
-        other => Err(format!("{what}: expected a string, got {other:?}")),
-    }
-}
-
-fn get_f64(fields: &[(String, Json)], key: &str) -> Result<f64, String> {
-    as_f64(get(fields, key)?, key)
-}
-
-fn get_f64_or_neg_inf(fields: &[(String, Json)], key: &str) -> Result<f64, String> {
-    match get(fields, key)? {
-        Json::Null => Ok(f64::NEG_INFINITY),
-        value => as_f64(value, key),
-    }
-}
-
-fn get_u64(fields: &[(String, Json)], key: &str) -> Result<u64, String> {
-    let n = get_f64(fields, key)?;
-    if n < 0.0 || n.fract() != 0.0 {
-        return Err(format!("field {key:?}: expected a non-negative integer"));
-    }
-    Ok(n as u64)
-}
-
-fn get_bool(fields: &[(String, Json)], key: &str) -> Result<bool, String> {
-    match get(fields, key)? {
-        Json::Bool(b) => Ok(*b),
-        other => Err(format!("field {key:?}: expected a bool, got {other:?}")),
-    }
-}
-
-fn get_str(fields: &[(String, Json)], key: &str) -> Result<String, String> {
-    as_str(get(fields, key)?, key).map(str::to_string)
-}
-
-fn parse_usize_array(value: &Json, what: &str) -> Result<Vec<usize>, String> {
-    as_array(value, what)?
-        .iter()
-        .map(|v| as_f64(v, what).map(|n| n as usize))
-        .collect()
-}
-
-fn parse_f64_array(value: &Json, what: &str) -> Result<Vec<f64>, String> {
-    as_array(value, what)?
-        .iter()
-        .map(|v| as_f64(v, what))
-        .collect()
-}
-
-fn parse_pair(value: &Json, what: &str) -> Result<(usize, f64), String> {
-    let items = as_array(value, what)?;
-    if items.len() != 2 {
-        return Err(format!("{what}: expected a pair"));
-    }
-    Ok((as_f64(&items[0], what)? as usize, as_f64(&items[1], what)?))
-}
-
-fn parse_triple(value: &Json, what: &str) -> Result<(u64, u64, u64), String> {
-    let items = as_array(value, what)?;
-    if items.len() != 3 {
-        return Err(format!("{what}: expected a triple"));
-    }
-    Ok((
-        as_f64(&items[0], what)? as u64,
-        as_f64(&items[1], what)? as u64,
-        as_f64(&items[2], what)? as u64,
-    ))
-}
-
-fn parse_rates(value: &Json, what: &str) -> Result<[f64; 4], String> {
-    let items = parse_f64_array(value, what)?;
-    items
-        .try_into()
-        .map_err(|_| format!("{what}: expected 4 rates"))
-}
-
-fn parse_overrides(value: &Json, what: &str) -> Result<Vec<(usize, [f64; 4])>, String> {
-    as_array(value, what)?
-        .iter()
-        .map(|entry| {
-            let items = as_array(entry, what)?;
-            if items.len() != 2 {
-                return Err(format!("{what}: expected [key, rates] entries"));
-            }
-            Ok((
-                as_f64(&items[0], what)? as usize,
-                parse_rates(&items[1], what)?,
-            ))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -666,19 +640,18 @@ mod tests {
                     finished_at: 4.5,
                 }],
             },
-            retry_policy: RetryPolicyCheckpoint {
-                max_retries: 2,
-                backoff_cost: 0.1,
-                backoff_factor: 2.0,
-                quarantine_threshold: 3,
-                probation_rounds: 25,
-            },
+            retry_policy: RetryPolicy::default(),
             retry_counters: vec![(0, 3, 2)],
             retry_releases: vec![(30, 0, 3)],
             fault: Some(FaultCheckpoint {
                 seed: encode_u64(u64::MAX - 1),
-                rates: [0.1, 0.05, 0.01, 0.2],
-                user_overrides: vec![(1, [0.0, 0.0, 0.0, 0.0])],
+                rates: FaultRates {
+                    crash: 0.1,
+                    timeout: 0.05,
+                    invalid: 0.01,
+                    straggler: 0.2,
+                },
+                user_overrides: vec![(1, FaultRates::NONE)],
                 arm_overrides: vec![],
                 straggler_factor: 3.0,
                 crash_cost_fraction: 0.5,

@@ -15,7 +15,8 @@ use crate::fault::TrainingError;
 use crate::server::TrainingOutcome;
 use easeml_obs::{Component, Histogram, RecorderHandle};
 use easeml_wal::{
-    CrashPoint, DurableEvent, ReadRecord, WalLog, WalOptions, WalWriter, KIND_CRASH, KIND_TIMEOUT,
+    truncate_log, CrashPoint, DurableEvent, ReadRecord, WalLog, WalOptions, WalWriter, KIND_CRASH,
+    KIND_TIMEOUT,
 };
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -250,6 +251,36 @@ pub(crate) fn plan_replay(log: &WalLog, from_rounds: u64) -> Result<ReplayPlan, 
         cut,
         tail: lifecycle,
     })
+}
+
+/// The shared last step of both recovery paths: physically truncates the
+/// log in `wal_dir` after `cut` (the last record recovery kept) and returns
+/// the number of records dropped plus a description of the torn tail, if
+/// the log had one.
+///
+/// # Errors
+///
+/// The truncation's I/O error.
+pub fn truncate_suffix(
+    log: &WalLog,
+    wal_dir: &Path,
+    cut: Option<(u64, u64)>,
+) -> Result<(u64, Option<String>), String> {
+    let dropped = log
+        .records
+        .iter()
+        .filter(|r| cut.is_none_or(|c| (r.segment, r.end_offset) > c))
+        .count() as u64;
+    truncate_log(wal_dir, cut).map_err(|e| format!("truncating WAL suffix: {e}"))?;
+    let torn = log.torn.as_ref().map(|t| {
+        format!(
+            "{} in segment {} at offset {}",
+            t.reason.name(),
+            t.segment,
+            t.offset
+        )
+    });
+    Ok((dropped, torn))
 }
 
 /// What [`EaseMl::recover`](crate::server::EaseMl::recover) did.

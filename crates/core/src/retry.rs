@@ -9,10 +9,12 @@
 //! ([`GpUcb::set_arm_masked`](easeml_bandit::GpUcb::set_arm_masked)) and
 //! re-enter on probation after a fixed number of global rounds.
 
+use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// How failed training runs are retried and when arms are quarantined.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Checkpoints carry it verbatim.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct RetryPolicy {
     /// Retries allowed within one round after the first failed attempt.
     pub max_retries: u64,

@@ -9,14 +9,15 @@
 
 use crate::checkpoint::{
     decode_u64, encode_u64, read_checkpoint_file, write_checkpoint_atomic, CheckpointDoc,
-    ClusterCheckpoint, FaultCheckpoint, PickerCheckpoint, RetryPolicyCheckpoint, RunCheckpoint,
-    TenantCheckpoint, UserCheckpoint, CHECKPOINT_VERSION,
+    ClusterCheckpoint, FaultCheckpoint, PickerCheckpoint, RunCheckpoint, TenantCheckpoint,
+    UserCheckpoint, CHECKPOINT_VERSION,
 };
 use crate::cluster::{Cluster, CompletedRun, TrainingRun};
 use crate::durability::{
-    censor_kind, plan_replay, Durability, LifecycleAction, RecoveryReport, ReplayAttempt,
+    censor_kind, plan_replay, truncate_suffix, Durability, LifecycleAction, RecoveryReport,
+    ReplayAttempt,
 };
-use crate::fault::{FaultConfig, FaultInjector, FaultRates, TrainingError};
+use crate::fault::{FaultInjector, TrainingError};
 use crate::job::{Job, JobStatus};
 use crate::retry::{RetryPolicy, RetryState};
 use crate::storage::SharedStorage;
@@ -26,8 +27,8 @@ use easeml_bandit::{BetaSchedule, GpUcb};
 use easeml_dsl::{parse_program, ModelId, ParseError};
 use easeml_gp::ArmPrior;
 use easeml_obs::{Component, Event, RecorderHandle};
-use easeml_sched::{Hybrid, HybridState, PickRule, Tenant, UserPicker};
-use easeml_wal::{read_log, truncate_log, DurableEvent};
+use easeml_sched::{Hybrid, Tenant, UserPicker};
+use easeml_wal::{read_log, DurableEvent};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -814,18 +815,6 @@ impl EaseMl {
                 program: program.clone(),
             })
             .collect();
-        let picker = {
-            let state = self.picker.lock().export_state();
-            PickerCheckpoint {
-                rule: state.rule.name().to_string(),
-                patience: state.patience as u64,
-                frozen_rounds: state.frozen_rounds as u64,
-                prev_candidates: state.prev_candidates,
-                prev_best_sum: state.prev_best_sum,
-                switched: state.switched,
-                rr_cursor: state.rr_cursor as u64,
-            }
-        };
         let cluster = {
             let c = self.cluster.lock();
             ClusterCheckpoint {
@@ -845,33 +834,6 @@ impl EaseMl {
                     .collect(),
             }
         };
-        let fault = self.fault.as_ref().map(|injector| {
-            let config = injector.config();
-            let flatten =
-                |rates: &FaultRates| [rates.crash, rates.timeout, rates.invalid, rates.straggler];
-            FaultCheckpoint {
-                seed: encode_u64(config.seed),
-                rates: flatten(&config.rates),
-                user_overrides: config
-                    .user_overrides
-                    .iter()
-                    .map(|(&k, r)| (k, flatten(r)))
-                    .collect(),
-                arm_overrides: config
-                    .arm_overrides
-                    .iter()
-                    .map(|(&k, r)| (k, flatten(r)))
-                    .collect(),
-                straggler_factor: config.straggler_factor,
-                crash_cost_fraction: config.crash_cost_fraction,
-                timeout_factor: config.timeout_factor,
-                attempts: injector
-                    .attempts()
-                    .iter()
-                    .map(|(&(user, arm), &n)| (user, arm, n))
-                    .collect(),
-            }
-        });
         let rounds = *self.rounds.lock();
         let (witness_digest, witness_rounds, witness_top_k) = {
             let wlog = self.witness.lock();
@@ -883,12 +845,7 @@ impl EaseMl {
         };
         let doc = CheckpointDoc {
             version: CHECKPOINT_VERSION,
-            rng_state: [
-                encode_u64(rng_words[0]),
-                encode_u64(rng_words[1]),
-                encode_u64(rng_words[2]),
-                encode_u64(rng_words[3]),
-            ],
+            rng_state: rng_words.map(encode_u64),
             noise_var: self.noise_var,
             delta: self.delta,
             step: *self.step.lock() as u64,
@@ -899,15 +856,9 @@ impl EaseMl {
             witness_top_k,
             users,
             tenants,
-            picker,
+            picker: PickerCheckpoint::of(self.picker.lock().export_state()),
             cluster,
-            retry_policy: RetryPolicyCheckpoint {
-                max_retries: self.retry_policy.max_retries,
-                backoff_cost: self.retry_policy.backoff_cost,
-                backoff_factor: self.retry_policy.backoff_factor,
-                quarantine_threshold: self.retry_policy.quarantine_threshold,
-                probation_rounds: self.retry_policy.probation_rounds,
-            },
+            retry_policy: self.retry_policy,
             retry_counters: self
                 .retry_state
                 .counters()
@@ -915,7 +866,7 @@ impl EaseMl {
                 .map(|(&(user, arm), &n)| (user, arm, n))
                 .collect(),
             retry_releases: self.retry_state.releases().to_vec(),
-            fault,
+            fault: self.fault.as_ref().map(FaultCheckpoint::of),
         };
         let json = doc.to_json();
         self.recorder.emit(|| Event::CheckpointWritten {
@@ -942,6 +893,17 @@ impl EaseMl {
     /// Returns a message naming the malformed or inconsistent field.
     pub fn restore(json: &str, oracle: QualityOracle) -> Result<Self, String> {
         let doc = CheckpointDoc::from_json(json).map_err(|e| e.to_string())?;
+        EaseMl::from_checkpoint(&doc, oracle)
+    }
+
+    /// [`EaseMl::restore`] from an already parsed checkpoint document.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the inconsistent field: an out-of-range
+    /// arm, tenant or picker candidate, an unknown rule, or a malformed
+    /// encoded `u64`.
+    pub fn from_checkpoint(doc: &CheckpointDoc, oracle: QualityOracle) -> Result<Self, String> {
         let mut server = EaseMl::new(oracle, 0);
         server.noise_var = doc.noise_var;
         server.delta = doc.delta;
@@ -978,20 +940,9 @@ impl EaseMl {
             }
             server.tenants[idx].set_active(tenant_ckpt.active);
         }
-        let rule = PickRule::from_name(&doc.picker.rule)
-            .ok_or_else(|| format!("unknown picker rule {:?}", doc.picker.rule))?;
-        if doc.picker.patience == 0 {
-            return Err("picker patience must be positive".into());
-        }
-        server.picker = Mutex::new(Hybrid::from_state(HybridState {
-            rule,
-            patience: doc.picker.patience as usize,
-            frozen_rounds: doc.picker.frozen_rounds as usize,
-            prev_candidates: doc.picker.prev_candidates.clone(),
-            prev_best_sum: doc.picker.prev_best_sum,
-            switched: doc.picker.switched,
-            rr_cursor: doc.picker.rr_cursor as usize,
-        }));
+        server.picker = Mutex::new(Hybrid::from_state(
+            doc.picker.to_state(server.tenants.len())?,
+        ));
         if doc.cluster.device_free_at.is_empty() {
             return Err("cluster checkpoint has no devices".into());
         }
@@ -1031,13 +982,28 @@ impl EaseMl {
             decode_u64(&doc.witness_digest)?,
             doc.witness_rounds,
         ));
-        server.retry_policy = RetryPolicy {
-            max_retries: doc.retry_policy.max_retries,
-            backoff_cost: doc.retry_policy.backoff_cost,
-            backoff_factor: doc.retry_policy.backoff_factor,
-            quarantine_threshold: doc.retry_policy.quarantine_threshold,
-            probation_rounds: doc.retry_policy.probation_rounds,
+        server.retry_policy = doc.retry_policy;
+        let arms_of = |user: usize| {
+            server
+                .tenants
+                .get(user)
+                .map(|t| t.policy().posterior().num_arms())
         };
+        let out_of_range = |&(user, arm): &(usize, usize)| arms_of(user).is_none_or(|n| arm >= n);
+        if let Some((user, arm)) = doc
+            .retry_counters
+            .iter()
+            .map(|&(user, arm, _)| (user, arm))
+            .chain(doc.retry_releases.iter().map(|&(_, user, arm)| (user, arm)))
+            .find(out_of_range)
+        {
+            return Err(format!("retry state names ({user}, {arm}), out of range"));
+        }
+        server.fault = doc
+            .fault
+            .as_ref()
+            .map(|f| f.to_injector(arms_of))
+            .transpose()?;
         server.retry_state = RetryState::from_parts(
             doc.retry_counters
                 .iter()
@@ -1045,38 +1011,6 @@ impl EaseMl {
                 .collect(),
             doc.retry_releases.clone(),
         );
-        if let Some(fault) = &doc.fault {
-            let unflatten = |rates: &[f64; 4]| FaultRates {
-                crash: rates[0],
-                timeout: rates[1],
-                invalid: rates[2],
-                straggler: rates[3],
-            };
-            let mut config = FaultConfig::new(decode_u64(&fault.seed)?);
-            config.rates = unflatten(&fault.rates);
-            config.user_overrides = fault
-                .user_overrides
-                .iter()
-                .map(|(k, r)| (*k, unflatten(r)))
-                .collect();
-            config.arm_overrides = fault
-                .arm_overrides
-                .iter()
-                .map(|(k, r)| (*k, unflatten(r)))
-                .collect();
-            config.straggler_factor = fault.straggler_factor;
-            config.crash_cost_fraction = fault.crash_cost_fraction;
-            config.timeout_factor = fault.timeout_factor;
-            let mut injector = FaultInjector::new(config);
-            injector.restore_attempts(
-                fault
-                    .attempts
-                    .iter()
-                    .map(|&(user, arm, n)| ((user, arm), n))
-                    .collect(),
-            );
-            server.fault = Some(injector);
-        }
         Ok(server)
     }
 
@@ -1180,17 +1114,12 @@ impl EaseMl {
     ) -> Result<(Self, RecoveryReport), String> {
         let start = Instant::now();
         let doc = read_checkpoint_file(checkpoint_path).map_err(|e| e.to_string())?;
-        let mut server = EaseMl::restore(&doc.to_json(), oracle)?;
+        let mut server = EaseMl::from_checkpoint(&doc, oracle)?;
         let from_rounds = server.rounds_executed();
         let log =
             read_log(wal_dir).map_err(|e| format!("reading WAL {}: {e}", wal_dir.display()))?;
         let plan = plan_replay(&log, from_rounds)?;
         let cut = plan.cut;
-        let dropped = log
-            .records
-            .iter()
-            .filter(|r| cut.is_none_or(|c| (r.segment, r.end_offset) > c))
-            .count() as u64;
         let replayed = plan.rounds.len() as u64;
         for round in plan.rounds {
             for action in round.lifecycle {
@@ -1235,20 +1164,13 @@ impl EaseMl {
         for action in plan.tail {
             server.apply_lifecycle(action)?;
         }
-        truncate_log(wal_dir, cut).map_err(|e| format!("truncating WAL suffix: {e}"))?;
+        let (dropped_records, torn_tail) = truncate_suffix(&log, wal_dir, cut)?;
         let report = RecoveryReport {
             checkpoint_rounds: from_rounds,
             replayed_rounds: replayed,
             skipped_records: plan.skipped,
-            dropped_records: dropped,
-            torn_tail: log.torn.as_ref().map(|t| {
-                format!(
-                    "{} in segment {} at offset {}",
-                    t.reason.name(),
-                    t.segment,
-                    t.offset
-                )
-            }),
+            dropped_records,
+            torn_tail,
             final_rounds: server.rounds_executed(),
             final_digest: server.state_digest(),
             replay_ns: start.elapsed().as_nanos() as u64,
@@ -1321,6 +1243,7 @@ impl EaseMl {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{FaultConfig, FaultRates};
 
     const IMAGE_PROG: &str = "{input: {[Tensor[64, 64, 3]], []}, output: {[Tensor[5]], []}}";
     const TS_PROG: &str = "{input: {[Tensor[16]], [next]}, output: {[Tensor[3]], []}}";
@@ -1795,5 +1718,61 @@ mod tests {
             Ok(_) => panic!("version 99 must be rejected"),
         };
         assert!(err.contains("unsupported checkpoint version"), "{err}");
+    }
+
+    #[test]
+    fn restore_rejects_out_of_range_indices_and_malformed_integers() {
+        let mut s = EaseMl::new(toy_oracle(), 5);
+        s.set_fault_injector(Some(FaultInjector::new(
+            FaultConfig::new(3).with_crash_rate(0.3),
+        )));
+        s.register_user("a", IMAGE_PROG).unwrap();
+        s.register_user("b", TS_PROG).unwrap();
+        for _ in 0..6 {
+            s.run_round();
+        }
+        let json = s.checkpoint();
+        let doc = CheckpointDoc::from_json(&json).unwrap();
+        assert!(EaseMl::from_checkpoint(&doc, toy_oracle()).is_ok());
+        type Mutation = Box<dyn Fn(&mut CheckpointDoc)>;
+        let mutations: Vec<(&str, Mutation)> = vec![
+            (
+                "observation arm",
+                Box::new(|d| d.tenants[1].observations.push((4, 0.5))),
+            ),
+            ("masked arm", Box::new(|d| d.tenants[0].masked.push(8))),
+            (
+                "picker candidate",
+                Box::new(|d| d.picker.prev_candidates.push(2)),
+            ),
+            (
+                "retry counter",
+                Box::new(|d| d.retry_counters.push((2, 0, 1))),
+            ),
+            (
+                "retry release",
+                Box::new(|d| d.retry_releases.push((9, 1, 4))),
+            ),
+            (
+                "fault attempt",
+                Box::new(|d| d.fault.as_mut().unwrap().attempts.push((1, 4, 1))),
+            ),
+        ];
+        for (what, mutate) in mutations {
+            let mut bad = doc.clone();
+            mutate(&mut bad);
+            assert!(
+                EaseMl::restore(&bad.to_json(), toy_oracle()).is_err(),
+                "{what} must be rejected"
+            );
+        }
+        let observations = "\"observations\":[[";
+        assert!(json.contains(observations));
+        let truncating = json.replacen(observations, &format!("{observations}-1.5,0.5],["), 1);
+        let err = match EaseMl::restore(&truncating, toy_oracle()) {
+            Err(err) => err,
+            Ok(_) => panic!("a fractional arm index must be rejected"),
+        };
+        assert!(err.contains("observation"), "{err}");
     }
 }

@@ -23,17 +23,18 @@
 
 use crate::engine::{Arrival, ExecEngine, InFlight, PickerSlot};
 use crate::fleet::{DeviceSpec, Fleet};
-use easeml::checkpoint::{decode_u64, encode_u64};
-use easeml::fault::{FaultConfig, FaultRates};
+use easeml::checkpoint::{decode_u64, encode_u64, FaultCheckpoint, PickerCheckpoint};
 use easeml::sim::{SchedulerKind, SimConfig, SimEvent};
 use easeml::TaskState;
 use easeml_data::Dataset;
 use easeml_gp::ArmPrior;
-use easeml_obs::json::{self, Json};
-use easeml_obs::RecorderHandle;
-use easeml_sched::{Hybrid, HybridState, PickRule};
+use easeml_obs::json::{
+    self, as_bool, as_f64, as_object, as_tuple, as_u64, get, get_bool, get_f64, get_f64_or_nan,
+    get_nullable, get_str, get_u32, get_u64, get_usize, get_vec,
+};
+use easeml_obs::{QuantileSketch, RecorderHandle, SketchParts};
+use easeml_sched::Hybrid;
 use serde::Serialize;
-use std::collections::BTreeMap;
 
 /// Current execution-checkpoint format version.
 ///
@@ -44,61 +45,6 @@ use std::collections::BTreeMap;
 /// `backlog`, and the pending `arrivals` queue) so a mid-replay restore
 /// resumes the workload bit-exactly.
 pub const EXEC_CHECKPOINT_VERSION: u32 = 4;
-
-/// A bounded quantile sketch's exported state (mirrors
-/// [`easeml_obs::SketchParts`]).
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct SketchCheckpoint {
-    /// Relative-error target α.
-    pub alpha: f64,
-    /// Live-bucket cap.
-    pub max_buckets: u64,
-    /// `(bucket index, count)` pairs, ascending by index.
-    pub buckets: Vec<(i32, u64)>,
-    /// Observations at or below the zero noise floor.
-    pub zeros: u64,
-    /// Rejected observations.
-    pub rejected: u64,
-    /// Observations whose bucket was collapsed by the cap.
-    pub collapsed: u64,
-    /// Sum of accepted observations.
-    pub sum: f64,
-    /// Smallest accepted observation (`None` when empty).
-    pub min: Option<f64>,
-    /// Largest accepted observation (`None` when empty).
-    pub max: Option<f64>,
-}
-
-impl SketchCheckpoint {
-    fn of(sketch: &easeml_obs::QuantileSketch) -> Self {
-        let parts = sketch.to_parts();
-        SketchCheckpoint {
-            alpha: parts.alpha,
-            max_buckets: parts.max_buckets as u64,
-            buckets: parts.buckets,
-            zeros: parts.zeros,
-            rejected: parts.rejected,
-            collapsed: parts.collapsed,
-            sum: parts.sum,
-            min: parts.min,
-            max: parts.max,
-        }
-    }
-
-    fn to_sketch(&self) -> easeml_obs::QuantileSketch {
-        easeml_obs::QuantileSketch::from_parts(&easeml_obs::SketchParts {
-            alpha: self.alpha,
-            max_buckets: self.max_buckets as usize,
-            buckets: self.buckets.clone(),
-            zeros: self.zeros,
-            rejected: self.rejected,
-            collapsed: self.collapsed,
-            sum: self.sum,
-            min: self.min,
-            max: self.max,
-        })
-    }
-}
 
 /// One device's spec and runtime accounting.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -144,19 +90,6 @@ pub struct InFlightCheckpoint {
     pub kind: String,
 }
 
-/// One resolved (completed) run, in completion order.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct ResolvedCheckpoint {
-    /// Served user.
-    pub user: usize,
-    /// Trained model.
-    pub model: usize,
-    /// Charged cost.
-    pub cost: f64,
-    /// Revealed quality.
-    pub quality: f64,
-}
-
 /// One `Done` cell of the dispatch board.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DoneCellCheckpoint {
@@ -166,58 +99,6 @@ pub struct DoneCellCheckpoint {
     pub arm: usize,
     /// Recorded accuracy.
     pub accuracy: f64,
-}
-
-/// The HYBRID picker's freeze detector (mirrors
-/// [`easeml_sched::HybridState`]).
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct HybridCheckpoint {
-    /// Greedy line-8 rule name.
-    pub rule: String,
-    /// Freeze threshold s.
-    pub patience: u64,
-    /// Consecutive frozen rounds.
-    pub frozen_rounds: u64,
-    /// Candidate set at the previous round.
-    pub prev_candidates: Vec<usize>,
-    /// Best-reward sum at the previous round (`null` while `-inf`).
-    pub prev_best_sum: f64,
-    /// Whether the round-robin switch happened.
-    pub switched: bool,
-    /// Round-robin cursor.
-    pub rr_cursor: u64,
-}
-
-/// One arrival still waiting for the simulated clock at checkpoint time.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct ArrivalCheckpoint {
-    /// Arrival sequence number.
-    pub seq: u64,
-    /// The tenant the job belongs to.
-    pub user: usize,
-    /// Absolute simulated arrival time.
-    pub at: f64,
-}
-
-/// Fault-injector configuration and attempt counters.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct FaultStateCheckpoint {
-    /// Seed, as a decimal string.
-    pub seed: String,
-    /// Base rates `[crash, timeout, invalid, straggler]`.
-    pub rates: [f64; 4],
-    /// Per-user rate overrides.
-    pub user_overrides: Vec<(usize, [f64; 4])>,
-    /// Per-arm rate overrides.
-    pub arm_overrides: Vec<(usize, [f64; 4])>,
-    /// Straggler cost multiplier.
-    pub straggler_factor: f64,
-    /// Fraction of cost consumed before a crash.
-    pub crash_cost_fraction: f64,
-    /// Timeout deadline as a multiple of cost.
-    pub timeout_factor: f64,
-    /// Per-(user, arm) attempt counters.
-    pub attempts: Vec<(usize, usize, u64)>,
 }
 
 /// The full mid-flight engine snapshot.
@@ -265,7 +146,7 @@ pub struct ExecCheckpoint {
     pub points: Vec<(f64, f64)>,
     /// Resolved runs in completion order — replaying them rebuilds the GP
     /// posteriors bit-identically.
-    pub resolved: Vec<ResolvedCheckpoint>,
+    pub resolved: Vec<SimEvent>,
     /// In-flight runs in dispatch (sequence) order.
     pub in_flight: Vec<InFlightCheckpoint>,
     /// `Done` cells of the dispatch board. Stored explicitly rather than
@@ -273,13 +154,13 @@ pub struct ExecCheckpoint {
     /// censored later, reverting it to pending.
     pub board_done: Vec<DoneCellCheckpoint>,
     /// HYBRID picker state, when the scheduler is HYBRID.
-    pub hybrid: Option<HybridCheckpoint>,
+    pub hybrid: Option<PickerCheckpoint>,
     /// Fault injector, if one is attached.
-    pub fault: Option<FaultStateCheckpoint>,
+    pub fault: Option<FaultCheckpoint>,
     /// Queueing-delay sketch accrued so far.
-    pub queueing_delay: SketchCheckpoint,
+    pub queueing_delay: SketchParts,
     /// Busy-span sketch accrued so far.
-    pub busy_spans: SketchCheckpoint,
+    pub busy_spans: SketchParts,
     /// Rolling witness digest at checkpoint time, as a decimal string.
     pub witness_digest: String,
     /// Completions folded into the witness digest so far.
@@ -295,34 +176,7 @@ pub struct ExecCheckpoint {
     /// Next arrival sequence number (v4).
     pub arrival_seq: u64,
     /// Arrivals not yet absorbed, in non-decreasing time order (v4).
-    pub arrivals: Vec<ArrivalCheckpoint>,
-}
-
-fn rates_to_array(r: FaultRates) -> [f64; 4] {
-    [r.crash, r.timeout, r.invalid, r.straggler]
-}
-
-fn rates_from_array(a: [f64; 4]) -> FaultRates {
-    FaultRates {
-        crash: a[0],
-        timeout: a[1],
-        invalid: a[2],
-        straggler: a[3],
-    }
-}
-
-/// Maps a canonical scheduler name back to its kind.
-fn kind_from_name(name: &str) -> Result<SchedulerKind, String> {
-    Ok(match name {
-        "fcfs" => SchedulerKind::Fcfs,
-        "round-robin" => SchedulerKind::RoundRobin,
-        "random" => SchedulerKind::Random,
-        "greedy(max-gap)" => SchedulerKind::Greedy(PickRule::MaxUcbGap),
-        "greedy(max-sigma)" => SchedulerKind::Greedy(PickRule::MaxSigmaTilde),
-        "greedy(random)" => SchedulerKind::Greedy(PickRule::Random),
-        "hybrid" => SchedulerKind::Hybrid,
-        other => return Err(format!("unknown scheduler kind {other:?}")),
-    })
+    pub arrivals: Vec<Arrival>,
 }
 
 impl ExecEngine<'_> {
@@ -370,43 +224,6 @@ impl ExecEngine<'_> {
                 }
             }
         }
-        let hybrid = self.picker.hybrid().map(|h| {
-            let s = h.export_state();
-            HybridCheckpoint {
-                rule: s.rule.name().to_string(),
-                patience: s.patience as u64,
-                frozen_rounds: s.frozen_rounds as u64,
-                prev_candidates: s.prev_candidates,
-                prev_best_sum: s.prev_best_sum,
-                switched: s.switched,
-                rr_cursor: s.rr_cursor as u64,
-            }
-        });
-        let fault = self.injector.as_ref().map(|inj| {
-            let c = inj.config();
-            FaultStateCheckpoint {
-                seed: encode_u64(c.seed),
-                rates: rates_to_array(c.rates),
-                user_overrides: c
-                    .user_overrides
-                    .iter()
-                    .map(|(&u, &r)| (u, rates_to_array(r)))
-                    .collect(),
-                arm_overrides: c
-                    .arm_overrides
-                    .iter()
-                    .map(|(&a, &r)| (a, rates_to_array(r)))
-                    .collect(),
-                straggler_factor: c.straggler_factor,
-                crash_cost_fraction: c.crash_cost_fraction,
-                timeout_factor: c.timeout_factor,
-                attempts: inj
-                    .attempts()
-                    .iter()
-                    .map(|(&(u, a), &n)| (u, a, n))
-                    .collect(),
-            }
-        });
         ExecCheckpoint {
             version: EXEC_CHECKPOINT_VERSION,
             kind: self.kind.name().to_string(),
@@ -428,22 +245,16 @@ impl ExecEngine<'_> {
             best_seen: self.best_seen.clone(),
             user_cost: self.user_cost.clone(),
             points: self.points.clone(),
-            resolved: self
-                .events
-                .iter()
-                .map(|e| ResolvedCheckpoint {
-                    user: e.user,
-                    model: e.model,
-                    cost: e.cost,
-                    quality: e.quality,
-                })
-                .collect(),
+            resolved: self.events.clone(),
             in_flight,
             board_done,
-            hybrid,
-            fault,
-            queueing_delay: SketchCheckpoint::of(&self.queueing_delay),
-            busy_spans: SketchCheckpoint::of(&self.busy_spans),
+            hybrid: self
+                .picker
+                .hybrid()
+                .map(|h| PickerCheckpoint::of(h.export_state())),
+            fault: self.injector.as_ref().map(FaultCheckpoint::of),
+            queueing_delay: self.queueing_delay.to_parts(),
+            busy_spans: self.busy_spans.to_parts(),
             witness_digest: encode_u64(self.wlog.digest_value()),
             witness_rounds: self.wlog.rounds(),
             witness_top_k: self.wlog.top_k() as u64,
@@ -451,15 +262,7 @@ impl ExecEngine<'_> {
             retired: self.retired.clone(),
             backlog: self.backlog.clone(),
             arrival_seq: self.arrival_seq,
-            arrivals: self
-                .arrivals
-                .iter()
-                .map(|a| ArrivalCheckpoint {
-                    seq: a.seq,
-                    user: a.user,
-                    at: a.at,
-                })
-                .collect(),
+            arrivals: self.arrivals.iter().copied().collect(),
         }
     }
 
@@ -490,7 +293,8 @@ impl ExecEngine<'_> {
     /// # Errors
     ///
     /// Returns a message on a version mismatch, an unknown scheduler kind,
-    /// a malformed seed, or dimensions that do not fit `dataset`/`priors`.
+    /// a malformed seed, dimensions that do not fit `dataset`/`priors`, or
+    /// a user, arm or device index out of range.
     pub fn restore<'a>(
         dataset: &'a Dataset,
         priors: &[ArmPrior],
@@ -502,9 +306,11 @@ impl ExecEngine<'_> {
                 ck.version
             ));
         }
-        let kind = kind_from_name(&ck.kind)?;
+        let kind = SchedulerKind::from_name(&ck.kind)
+            .filter(|kind| !kind.is_heuristic())
+            .ok_or_else(|| format!("unknown scheduler kind {:?}", ck.kind))?;
         let seed = decode_u64(&ck.seed)?;
-        let n = dataset.num_users();
+        let (n, m) = (dataset.num_users(), dataset.num_models());
         if ck.best_seen.len() != n
             || ck.user_cost.len() != n
             || ck.retired.len() != n
@@ -515,33 +321,21 @@ impl ExecEngine<'_> {
                 ck.best_seen.len()
             ));
         }
-        let fault = match &ck.fault {
-            None => None,
-            Some(f) => {
-                let mut config = FaultConfig::new(decode_u64(&f.seed)?);
-                config.rates = rates_from_array(f.rates);
-                config.user_overrides = f
-                    .user_overrides
-                    .iter()
-                    .map(|&(u, r)| (u, rates_from_array(r)))
-                    .collect();
-                config.arm_overrides = f
-                    .arm_overrides
-                    .iter()
-                    .map(|&(a, r)| (a, rates_from_array(r)))
-                    .collect();
-                config.straggler_factor = f.straggler_factor;
-                config.crash_cost_fraction = f.crash_cost_fraction;
-                config.timeout_factor = f.timeout_factor;
-                Some(config)
-            }
-        };
+        if ck.budget.is_nan() || ck.budget <= 0.0 {
+            return Err(format!("checkpoint budget {} is not positive", ck.budget));
+        }
+        ck.check_bounds(n, m)?;
+        let injector = ck
+            .fault
+            .as_ref()
+            .map(|f| f.to_injector(|user| (user < n).then_some(m)))
+            .transpose()?;
         let cfg = SimConfig {
             budget: ck.budget,
             cost_aware: ck.cost_aware,
             noise_var: ck.noise_var,
             delta: ck.delta,
-            fault,
+            fault: injector.as_ref().map(|i| i.config().clone()),
         };
         let specs: Vec<DeviceSpec> = ck
             .devices
@@ -568,35 +362,13 @@ impl ExecEngine<'_> {
         for r in &ck.resolved {
             engine.tenants[r.user].observe(r.model, r.quality);
             engine.bucbs[r.user].observe_direct(r.model, r.quality);
-            engine.events.push(SimEvent {
-                user: r.user,
-                model: r.model,
-                cost: r.cost,
-                quality: r.quality,
-            });
+            engine.events.push(*r);
         }
         if let Some(h) = &ck.hybrid {
-            let rule = PickRule::from_name(&h.rule)
-                .ok_or_else(|| format!("unknown greedy rule {:?}", h.rule))?;
-            engine.picker = PickerSlot::Hybrid(Hybrid::from_state(HybridState {
-                rule,
-                patience: h.patience as usize,
-                frozen_rounds: h.frozen_rounds as usize,
-                prev_candidates: h.prev_candidates.clone(),
-                prev_best_sum: h.prev_best_sum,
-                switched: h.switched,
-                rr_cursor: h.rr_cursor as usize,
-            }));
+            engine.picker = PickerSlot::Hybrid(Hybrid::from_state(h.to_state(n)?));
         }
-        if let Some(f) = &ck.fault {
-            let injector = engine
-                .injector
-                .as_mut()
-                .expect("fault config implies an injector");
-            let attempts: BTreeMap<(usize, usize), u64> =
-                f.attempts.iter().map(|&(u, a, c)| ((u, a), c)).collect();
-            injector.restore_attempts(attempts);
-        }
+        // The restored injector carries the attempt counters.
+        engine.injector = injector;
         for (dev, d) in engine.fleet.devices.iter_mut().zip(&ck.devices) {
             dev.in_use = d.in_use as usize;
             dev.busy = d.busy;
@@ -643,8 +415,8 @@ impl ExecEngine<'_> {
         engine.best_seen = ck.best_seen.clone();
         engine.user_cost = ck.user_cost.clone();
         engine.points = ck.points.clone();
-        engine.queueing_delay = ck.queueing_delay.to_sketch();
-        engine.busy_spans = ck.busy_spans.to_sketch();
+        engine.queueing_delay = QuantileSketch::from_parts(&ck.queueing_delay);
+        engine.busy_spans = QuantileSketch::from_parts(&ck.busy_spans);
         // Continue the rolling digest chain: ExecEngine::new ran warm_up
         // with a fresh log, so this overwrite is what makes the restored
         // digest trajectory match the original's (WAL recovery asserts
@@ -659,21 +431,61 @@ impl ExecEngine<'_> {
         engine.retired = ck.retired.clone();
         engine.backlog = ck.backlog.clone();
         engine.arrival_seq = ck.arrival_seq;
-        engine.arrivals = ck
-            .arrivals
-            .iter()
-            .map(|a| Arrival {
-                seq: a.seq,
-                user: a.user,
-                at: a.at,
-            })
-            .collect();
+        engine.arrivals = ck.arrivals.iter().copied().collect();
         engine.set_open_loop(ck.open_loop);
         Ok(engine)
     }
 }
 
 impl ExecCheckpoint {
+    /// Rejects any user, arm or device index that does not fit a run with
+    /// `users` tenants, `arms` models and this checkpoint's fleet — restore
+    /// indexes with them, so a malformed document must fail here, not
+    /// panic there.
+    fn check_bounds(&self, users: usize, arms: usize) -> Result<(), String> {
+        if self.devices.is_empty() {
+            return Err("checkpoint has no devices".into());
+        }
+        if let Some(d) = self
+            .devices
+            .iter()
+            .find(|d| !(d.speed.is_finite() && d.speed > 0.0) || d.slots == 0)
+        {
+            return Err(format!(
+                "device spec (speed {}, {} slots) is invalid",
+                d.speed, d.slots
+            ));
+        }
+        let cell = |what: &str, user: usize, arm: usize| {
+            if user < users && arm < arms {
+                Ok(())
+            } else {
+                Err(format!(
+                    "{what} cell ({user}, {arm}) out of range ({users} users, {arms} arms)"
+                ))
+            }
+        };
+        for r in &self.resolved {
+            cell("resolved", r.user, r.model)?;
+        }
+        for r in &self.in_flight {
+            cell("in-flight", r.user, r.model)?;
+            if r.device >= self.devices.len() {
+                return Err(format!(
+                    "in-flight run {} on unknown device {}",
+                    r.seq, r.device
+                ));
+            }
+        }
+        for c in &self.board_done {
+            cell("board", c.user, c.arm)?;
+        }
+        match self.arrivals.iter().find(|a| a.user >= users) {
+            Some(a) => Err(format!("arrival {} for unknown user {}", a.seq, a.user)),
+            None => Ok(()),
+        }
+    }
+
     /// Serializes the checkpoint to one JSON document.
     pub fn to_json(&self) -> String {
         json::to_string(self)
@@ -687,108 +499,56 @@ impl ExecCheckpoint {
     pub fn from_json(input: &str) -> Result<Self, String> {
         let doc = json::parse(input)?;
         let fields = as_object(&doc, "exec checkpoint")?;
-        let version = get_u64(fields, "version")? as u32;
+        let version = get_u32(fields, "version")?;
         if version != EXEC_CHECKPOINT_VERSION {
             return Err(format!(
                 "unsupported exec checkpoint version {version} (expected {EXEC_CHECKPOINT_VERSION})"
             ));
         }
-        let devices = as_array(get(fields, "devices")?, "devices")?
-            .iter()
-            .map(|d| {
-                let f = as_object(d, "device")?;
-                Ok(DeviceCheckpoint {
-                    speed: get_f64(f, "speed")?,
-                    slots: get_u64(f, "slots")?,
-                    in_use: get_u64(f, "in_use")?,
-                    busy: get_f64(f, "busy")?,
-                    idle: get_f64(f, "idle")?,
-                    last_t: get_f64(f, "last_t")?,
-                    idle_since: get_f64(f, "idle_since")?,
-                })
+        let devices = get_vec(fields, "devices", |d, _| {
+            let f = as_object(d, "device")?;
+            Ok(DeviceCheckpoint {
+                speed: get_f64(f, "speed")?,
+                slots: get_u64(f, "slots")?,
+                in_use: get_u64(f, "in_use")?,
+                busy: get_f64(f, "busy")?,
+                idle: get_f64(f, "idle")?,
+                last_t: get_f64(f, "last_t")?,
+                idle_since: get_f64(f, "idle_since")?,
             })
-            .collect::<Result<Vec<_>, String>>()?;
-        let resolved = as_array(get(fields, "resolved")?, "resolved")?
-            .iter()
-            .map(|r| {
-                let f = as_object(r, "resolved run")?;
-                Ok(ResolvedCheckpoint {
-                    user: get_u64(f, "user")? as usize,
-                    model: get_u64(f, "model")? as usize,
-                    cost: get_f64(f, "cost")?,
-                    quality: get_f64(f, "quality")?,
-                })
+        })?;
+        let resolved = get_vec(fields, "resolved", |r, _| {
+            let f = as_object(r, "resolved run")?;
+            Ok(SimEvent {
+                user: get_usize(f, "user")?,
+                model: get_usize(f, "model")?,
+                cost: get_f64(f, "cost")?,
+                quality: get_f64(f, "quality")?,
             })
-            .collect::<Result<Vec<_>, String>>()?;
-        let in_flight = as_array(get(fields, "in_flight")?, "in_flight")?
-            .iter()
-            .map(|r| {
-                let f = as_object(r, "in-flight run")?;
-                Ok(InFlightCheckpoint {
-                    seq: get_u64(f, "seq")?,
-                    user: get_u64(f, "user")? as usize,
-                    model: get_u64(f, "model")? as usize,
-                    device: get_u64(f, "device")? as usize,
-                    dispatched_at: get_f64(f, "dispatched_at")?,
-                    finish: get_f64(f, "finish")?,
-                    charge: get_f64(f, "charge")?,
-                    ok: get_bool(f, "ok")?,
-                    quality: get_f64_or_nan(f, "quality")?,
-                    kind: get_str(f, "kind")?,
-                })
+        })?;
+        let in_flight = get_vec(fields, "in_flight", |r, _| {
+            let f = as_object(r, "in-flight run")?;
+            Ok(InFlightCheckpoint {
+                seq: get_u64(f, "seq")?,
+                user: get_usize(f, "user")?,
+                model: get_usize(f, "model")?,
+                device: get_usize(f, "device")?,
+                dispatched_at: get_f64(f, "dispatched_at")?,
+                finish: get_f64(f, "finish")?,
+                charge: get_f64(f, "charge")?,
+                ok: get_bool(f, "ok")?,
+                quality: get_f64_or_nan(f, "quality")?,
+                kind: get_str(f, "kind")?,
             })
-            .collect::<Result<Vec<_>, String>>()?;
-        let board_done = as_array(get(fields, "board_done")?, "board_done")?
-            .iter()
-            .map(|c| {
-                let f = as_object(c, "done cell")?;
-                Ok(DoneCellCheckpoint {
-                    user: get_u64(f, "user")? as usize,
-                    arm: get_u64(f, "arm")? as usize,
-                    accuracy: get_f64(f, "accuracy")?,
-                })
+        })?;
+        let board_done = get_vec(fields, "board_done", |c, _| {
+            let f = as_object(c, "done cell")?;
+            Ok(DoneCellCheckpoint {
+                user: get_usize(f, "user")?,
+                arm: get_usize(f, "arm")?,
+                accuracy: get_f64(f, "accuracy")?,
             })
-            .collect::<Result<Vec<_>, String>>()?;
-        let hybrid = match get(fields, "hybrid")? {
-            Json::Null => None,
-            value => {
-                let f = as_object(value, "hybrid")?;
-                Some(HybridCheckpoint {
-                    rule: get_str(f, "rule")?,
-                    patience: get_u64(f, "patience")?,
-                    frozen_rounds: get_u64(f, "frozen_rounds")?,
-                    prev_candidates: parse_usize_array(
-                        get(f, "prev_candidates")?,
-                        "prev_candidates",
-                    )?,
-                    prev_best_sum: get_f64_or_neg_inf(f, "prev_best_sum")?,
-                    switched: get_bool(f, "switched")?,
-                    rr_cursor: get_u64(f, "rr_cursor")?,
-                })
-            }
-        };
-        let fault = match get(fields, "fault")? {
-            Json::Null => None,
-            value => {
-                let f = as_object(value, "fault")?;
-                Some(FaultStateCheckpoint {
-                    seed: get_str(f, "seed")?,
-                    rates: parse_rates(get(f, "rates")?, "rates")?,
-                    user_overrides: parse_overrides(get(f, "user_overrides")?, "user_overrides")?,
-                    arm_overrides: parse_overrides(get(f, "arm_overrides")?, "arm_overrides")?,
-                    straggler_factor: get_f64(f, "straggler_factor")?,
-                    crash_cost_fraction: get_f64(f, "crash_cost_fraction")?,
-                    timeout_factor: get_f64(f, "timeout_factor")?,
-                    attempts: as_array(get(f, "attempts")?, "attempts")?
-                        .iter()
-                        .map(|t| parse_triple(t, "attempt counter"))
-                        .collect::<Result<Vec<_>, String>>()?
-                        .into_iter()
-                        .map(|(a, b, c)| (a as usize, b as usize, c))
-                        .collect(),
-                })
-            }
-        };
+        })?;
         Ok(ExecCheckpoint {
             version,
             kind: get_str(fields, "kind")?,
@@ -807,226 +567,46 @@ impl ExecCheckpoint {
             parallel_dispatches: get_u64(fields, "parallel_dispatches")?,
             committed: get_f64(fields, "committed")?,
             initial_loss: get_f64(fields, "initial_loss")?,
-            best_seen: parse_f64_array(get(fields, "best_seen")?, "best_seen")?,
-            user_cost: parse_f64_array(get(fields, "user_cost")?, "user_cost")?,
-            points: as_array(get(fields, "points")?, "points")?
-                .iter()
-                .map(|p| parse_f64_pair(p, "point"))
-                .collect::<Result<Vec<_>, String>>()?,
+            best_seen: get_vec(fields, "best_seen", as_f64)?,
+            user_cost: get_vec(fields, "user_cost", as_f64)?,
+            points: get_vec(fields, "points", |p, _| {
+                let [t, loss] = as_tuple(p, "point")?;
+                Ok((as_f64(t, "point")?, as_f64(loss, "point")?))
+            })?,
             resolved,
             in_flight,
             board_done,
-            hybrid,
-            fault,
-            queueing_delay: parse_sketch(get(fields, "queueing_delay")?, "queueing_delay")?,
-            busy_spans: parse_sketch(get(fields, "busy_spans")?, "busy_spans")?,
+            hybrid: get_nullable(fields, "hybrid", PickerCheckpoint::from_value)?,
+            fault: get_nullable(fields, "fault", FaultCheckpoint::from_value)?,
+            queueing_delay: SketchParts::from_value(
+                get(fields, "queueing_delay")?,
+                "queueing_delay",
+            )?,
+            busy_spans: SketchParts::from_value(get(fields, "busy_spans")?, "busy_spans")?,
             witness_digest: get_str(fields, "witness_digest")?,
             witness_rounds: get_u64(fields, "witness_rounds")?,
             witness_top_k: get_u64(fields, "witness_top_k")?,
             open_loop: get_bool(fields, "open_loop")?,
-            retired: parse_bool_array(get(fields, "retired")?, "retired")?,
-            backlog: parse_u64_array(get(fields, "backlog")?, "backlog")?,
+            retired: get_vec(fields, "retired", as_bool)?,
+            backlog: get_vec(fields, "backlog", as_u64)?,
             arrival_seq: get_u64(fields, "arrival_seq")?,
-            arrivals: as_array(get(fields, "arrivals")?, "arrivals")?
-                .iter()
-                .map(|a| {
-                    let f = as_object(a, "arrival")?;
-                    Ok(ArrivalCheckpoint {
-                        seq: get_u64(f, "seq")?,
-                        user: get_u64(f, "user")? as usize,
-                        at: get_f64(f, "at")?,
-                    })
+            arrivals: get_vec(fields, "arrivals", |a, _| {
+                let f = as_object(a, "arrival")?;
+                Ok(Arrival {
+                    seq: get_u64(f, "seq")?,
+                    user: get_usize(f, "user")?,
+                    at: get_f64(f, "at")?,
                 })
-                .collect::<Result<Vec<_>, String>>()?,
+            })?,
         })
     }
-}
-
-fn parse_sketch(value: &Json, what: &str) -> Result<SketchCheckpoint, String> {
-    let f = as_object(value, what)?;
-    let buckets = as_array(get(f, "buckets")?, "buckets")?
-        .iter()
-        .map(|pair| {
-            let (index, count) = parse_f64_pair(pair, "sketch bucket")?;
-            if index.fract() != 0.0 || count < 0.0 || count.fract() != 0.0 {
-                return Err(format!("{what}: malformed sketch bucket"));
-            }
-            Ok((index as i32, count as u64))
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let opt_f64 = |key: &str| -> Result<Option<f64>, String> {
-        match get(f, key)? {
-            Json::Null => Ok(None),
-            value => as_f64(value, key).map(Some),
-        }
-    };
-    Ok(SketchCheckpoint {
-        alpha: get_f64(f, "alpha")?,
-        max_buckets: get_u64(f, "max_buckets")?,
-        buckets,
-        zeros: get_u64(f, "zeros")?,
-        rejected: get_u64(f, "rejected")?,
-        collapsed: get_u64(f, "collapsed")?,
-        sum: get_f64(f, "sum")?,
-        min: opt_f64("min")?,
-        max: opt_f64("max")?,
-    })
-}
-
-fn get<'a>(fields: &'a [(String, Json)], key: &str) -> Result<&'a Json, String> {
-    fields
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| format!("missing field {key:?}"))
-}
-
-fn as_object<'a>(value: &'a Json, what: &str) -> Result<&'a [(String, Json)], String> {
-    match value {
-        Json::Object(fields) => Ok(fields),
-        other => Err(format!("{what}: expected an object, got {other:?}")),
-    }
-}
-
-fn as_array<'a>(value: &'a Json, what: &str) -> Result<&'a [Json], String> {
-    match value {
-        Json::Array(items) => Ok(items),
-        other => Err(format!("{what}: expected an array, got {other:?}")),
-    }
-}
-
-fn as_f64(value: &Json, what: &str) -> Result<f64, String> {
-    match value {
-        Json::Number(n) => Ok(*n),
-        other => Err(format!("{what}: expected a number, got {other:?}")),
-    }
-}
-
-fn get_f64(fields: &[(String, Json)], key: &str) -> Result<f64, String> {
-    as_f64(get(fields, key)?, key)
-}
-
-fn get_f64_or_nan(fields: &[(String, Json)], key: &str) -> Result<f64, String> {
-    match get(fields, key)? {
-        Json::Null => Ok(f64::NAN),
-        value => as_f64(value, key),
-    }
-}
-
-fn get_f64_or_neg_inf(fields: &[(String, Json)], key: &str) -> Result<f64, String> {
-    match get(fields, key)? {
-        Json::Null => Ok(f64::NEG_INFINITY),
-        value => as_f64(value, key),
-    }
-}
-
-fn get_u64(fields: &[(String, Json)], key: &str) -> Result<u64, String> {
-    let n = get_f64(fields, key)?;
-    if n < 0.0 || n.fract() != 0.0 {
-        return Err(format!("field {key:?}: expected a non-negative integer"));
-    }
-    Ok(n as u64)
-}
-
-fn get_bool(fields: &[(String, Json)], key: &str) -> Result<bool, String> {
-    match get(fields, key)? {
-        Json::Bool(b) => Ok(*b),
-        other => Err(format!("field {key:?}: expected a bool, got {other:?}")),
-    }
-}
-
-fn get_str(fields: &[(String, Json)], key: &str) -> Result<String, String> {
-    match get(fields, key)? {
-        Json::String(s) => Ok(s.clone()),
-        other => Err(format!("field {key:?}: expected a string, got {other:?}")),
-    }
-}
-
-fn parse_usize_array(value: &Json, what: &str) -> Result<Vec<usize>, String> {
-    as_array(value, what)?
-        .iter()
-        .map(|v| as_f64(v, what).map(|n| n as usize))
-        .collect()
-}
-
-fn parse_bool_array(value: &Json, what: &str) -> Result<Vec<bool>, String> {
-    as_array(value, what)?
-        .iter()
-        .map(|v| match v {
-            Json::Bool(b) => Ok(*b),
-            other => Err(format!("{what}: expected a bool, got {other:?}")),
-        })
-        .collect()
-}
-
-fn parse_u64_array(value: &Json, what: &str) -> Result<Vec<u64>, String> {
-    as_array(value, what)?
-        .iter()
-        .map(|v| {
-            let n = as_f64(v, what)?;
-            if n < 0.0 || n.fract() != 0.0 {
-                return Err(format!("{what}: expected a non-negative integer"));
-            }
-            Ok(n as u64)
-        })
-        .collect()
-}
-
-fn parse_f64_array(value: &Json, what: &str) -> Result<Vec<f64>, String> {
-    as_array(value, what)?
-        .iter()
-        .map(|v| as_f64(v, what))
-        .collect()
-}
-
-fn parse_f64_pair(value: &Json, what: &str) -> Result<(f64, f64), String> {
-    let items = as_array(value, what)?;
-    if items.len() != 2 {
-        return Err(format!("{what}: expected a pair"));
-    }
-    Ok((as_f64(&items[0], what)?, as_f64(&items[1], what)?))
-}
-
-fn parse_triple(value: &Json, what: &str) -> Result<(u64, u64, u64), String> {
-    let items = as_array(value, what)?;
-    if items.len() != 3 {
-        return Err(format!("{what}: expected a triple"));
-    }
-    Ok((
-        as_f64(&items[0], what)? as u64,
-        as_f64(&items[1], what)? as u64,
-        as_f64(&items[2], what)? as u64,
-    ))
-}
-
-fn parse_rates(value: &Json, what: &str) -> Result<[f64; 4], String> {
-    let items = parse_f64_array(value, what)?;
-    if items.len() != 4 {
-        return Err(format!("{what}: expected 4 rates"));
-    }
-    Ok([items[0], items[1], items[2], items[3]])
-}
-
-fn parse_overrides(value: &Json, what: &str) -> Result<Vec<(usize, [f64; 4])>, String> {
-    as_array(value, what)?
-        .iter()
-        .map(|entry| {
-            let items = as_array(entry, what)?;
-            if items.len() != 2 {
-                return Err(format!("{what}: expected (key, rates) pairs"));
-            }
-            Ok((
-                as_f64(&items[0], what)? as usize,
-                parse_rates(&items[1], what)?,
-            ))
-        })
-        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::simulate_multi_device;
+    use easeml::fault::FaultConfig;
     use easeml_data::SynConfig;
 
     fn small_dataset() -> Dataset {
@@ -1044,24 +624,18 @@ mod tests {
             .collect()
     }
 
-    fn chaos_cfg() -> SimConfig {
+    /// A HYBRID engine on three devices under chaos, checkpointed with
+    /// runs in flight.
+    fn mid_flight_checkpoint(d: &Dataset, priors: &[ArmPrior]) -> ExecCheckpoint {
         let mut cfg = SimConfig::new(8.0);
         cfg.fault = Some(
             FaultConfig::new(13)
                 .with_crash_rate(0.2)
                 .with_timeout_rate(0.1),
         );
-        cfg
-    }
-
-    #[test]
-    fn checkpoint_json_round_trips_mid_flight() {
-        let d = small_dataset();
-        let priors = flat_priors(&d);
-        let cfg = chaos_cfg();
         let mut engine = ExecEngine::new(
-            &d,
-            &priors,
+            d,
+            priors,
             SchedulerKind::Hybrid,
             &cfg,
             Fleet::uniform(3),
@@ -1072,12 +646,82 @@ mod tests {
             assert!(engine.tick());
         }
         assert!(engine.in_flight_len() > 0, "checkpoint must be mid-flight");
-        let ck = engine.checkpoint();
+        engine.checkpoint()
+    }
+
+    #[test]
+    fn checkpoint_json_round_trips_mid_flight() {
+        let d = small_dataset();
+        let ck = mid_flight_checkpoint(&d, &flat_priors(&d));
         let parsed = ExecCheckpoint::from_json(&ck.to_json()).expect("round-trip");
         assert_eq!(parsed, ck);
         assert!(ck.hybrid.is_some());
         assert!(ck.fault.is_some());
         assert!(!ck.in_flight.is_empty());
+    }
+
+    #[test]
+    fn malformed_integers_are_rejected_not_truncated() {
+        let d = small_dataset();
+        let ck = mid_flight_checkpoint(&d, &flat_priors(&d));
+        let json = ck.to_json();
+        let candidates = "\"prev_candidates\":[";
+        assert!(json.contains(candidates));
+        for bad in ["-1.5", "1.5", "-1", "1e300"] {
+            let doc = json.replacen(candidates, &format!("{candidates}{bad},"), 1);
+            let err = ExecCheckpoint::from_json(&doc).expect_err(bad);
+            assert!(err.contains("prev_candidates"), "{err}");
+        }
+        let next_seq = format!("\"next_seq\":{},", ck.next_seq);
+        let doc = json.replacen(&next_seq, "\"next_seq\":-2,", 1);
+        let err = ExecCheckpoint::from_json(&doc).unwrap_err();
+        assert!(err.contains("next_seq"), "{err}");
+    }
+
+    #[test]
+    fn out_of_range_indices_are_rejected_not_panicked() {
+        let d = small_dataset();
+        let priors = flat_priors(&d);
+        let ck = mid_flight_checkpoint(&d, &priors);
+        assert!(ExecEngine::restore(&d, &priors, &ck).is_ok());
+        type Mutation = Box<dyn Fn(&mut ExecCheckpoint)>;
+        let mutations: Vec<(&str, Mutation)> = vec![
+            ("resolved user", Box::new(|c| c.resolved[0].user = 990)),
+            ("resolved model", Box::new(|c| c.resolved[0].model = 3)),
+            ("in-flight user", Box::new(|c| c.in_flight[0].user = 4)),
+            ("in-flight device", Box::new(|c| c.in_flight[0].device = 3)),
+            ("board arm", Box::new(|c| c.board_done[0].arm = 99)),
+            (
+                "arrival user",
+                Box::new(|c| {
+                    c.arrivals.push(Arrival {
+                        seq: 0,
+                        user: 4,
+                        at: 1.0,
+                    })
+                }),
+            ),
+            (
+                "fault attempt",
+                Box::new(|c| c.fault.as_mut().unwrap().attempts.push((0, 3, 1))),
+            ),
+            (
+                "picker candidate",
+                Box::new(|c| c.hybrid.as_mut().unwrap().prev_candidates.push(4)),
+            ),
+            ("no devices", Box::new(|c| c.devices.clear())),
+        ];
+        for (what, mutate) in mutations {
+            let mut bad = ck.clone();
+            mutate(&mut bad);
+            // Through the JSON codec too: the parser accepts well-formed
+            // indices, restore is what knows the dimensions.
+            let parsed = ExecCheckpoint::from_json(&bad.to_json()).expect(what);
+            assert!(
+                ExecEngine::restore(&d, &priors, &parsed).is_err(),
+                "{what} must be rejected"
+            );
+        }
     }
 
     #[test]
@@ -1100,11 +744,13 @@ mod tests {
             .unwrap_err()
             .contains("version"));
         ck.version = EXEC_CHECKPOINT_VERSION;
-        ck.kind = "most-cited".into();
-        let err = ExecEngine::restore(&d, &priors, &ck)
-            .err()
-            .expect("unknown kinds must be rejected");
-        assert!(err.contains("unknown scheduler kind"));
+        for kind in ["most-cited", "greedy(nope)", "ease-ml"] {
+            ck.kind = kind.into();
+            let err = ExecEngine::restore(&d, &priors, &ck)
+                .err()
+                .expect("unknown and heuristic kinds must be rejected");
+            assert!(err.contains("unknown scheduler kind"), "{err}");
+        }
     }
 
     #[test]

@@ -75,14 +75,14 @@ pub(crate) struct PendingWitness {
 
 /// One externally-scheduled job arrival, waiting for the simulated clock
 /// to reach it. Open-loop mode only ([`ExecEngine::set_open_loop`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct Arrival {
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
+pub struct Arrival {
     /// Monotone arrival sequence number (0-based, per engine).
-    pub(crate) seq: u64,
+    pub seq: u64,
     /// The tenant the job belongs to.
-    pub(crate) user: usize,
+    pub user: usize,
     /// Absolute simulated arrival time.
-    pub(crate) at: f64,
+    pub at: f64,
 }
 
 /// The user-picking strategy, kept concrete for HYBRID so its freeze

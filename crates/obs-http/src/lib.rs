@@ -754,12 +754,8 @@ mod tests {
 
     /// Looks up a key in a parsed JSON object.
     fn field<'a>(value: &'a easeml_obs::json::Json, key: &str) -> &'a easeml_obs::json::Json {
-        match value {
-            easeml_obs::json::Json::Object(pairs) => {
-                &pairs.iter().find(|(k, _)| k == key).expect(key).1
-            }
-            other => panic!("expected object with {key}, got {other:?}"),
-        }
+        let fields = easeml_obs::json::as_object(value, key).unwrap();
+        easeml_obs::json::get(fields, key).unwrap()
     }
 
     #[test]

@@ -440,12 +440,17 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (multi-byte safe).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Copy the run up to the next quote or backslash in one
+                    // step. Both are ASCII, which never occurs inside a
+                    // multi-byte character, so the run is whole characters;
+                    // validating only the run keeps parsing linear.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
                         .map_err(|_| "invalid UTF-8 in string")?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
                 }
             }
         }
@@ -501,6 +506,213 @@ impl Parser<'_> {
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Typed accessors
+// ---------------------------------------------------------------------------
+//
+// Every reader of a parsed document (trace events, both checkpoint formats)
+// walks the value tree through these. The `get_*` readers take an object's
+// fields plus a key, the `as_*` readers a value plus a description of where
+// it sits. A `get_*` failure reads `field "key": …`, an `as_*` failure
+// `<description>: …`. Messages are only formatted on failure, so a
+// successful read never allocates.
+
+/// An object's fields, in document order.
+pub type Fields = [(String, Json)];
+
+/// The largest integer an `f64` JSON number carries exactly (2^53).
+const MAX_EXACT_INT: f64 = 9_007_199_254_740_992.0;
+
+fn mismatch(what: &str, expected: &str, got: &Json) -> String {
+    format!("{what}: expected {expected}, got {got:?}")
+}
+
+/// The value of field `key`; `Err` (`missing field "key"`) when absent.
+pub fn get<'a>(fields: &'a Fields, key: &str) -> Result<&'a Json, String> {
+    fields
+        .iter()
+        .find(|(k, _)| k == key)
+        .map(|(_, v)| v)
+        .ok_or_else(|| format!("missing field {key:?}"))
+}
+
+/// Reads field `key` with `read` and reports a failure as `field "key": …`
+/// (`read` gets an empty description, so its message starts at the `:`).
+fn read_field<'a, T>(
+    fields: &'a Fields,
+    key: &str,
+    read: impl FnOnce(&'a Json, &str) -> Result<T, String>,
+) -> Result<T, String> {
+    read(get(fields, key)?, "").map_err(|e| format!("field {key:?}{e}"))
+}
+
+/// Field `key` read with `read` (which receives the key as its
+/// description), or `None` when the field is `null` — an optional record.
+pub fn get_nullable<'a, T>(
+    fields: &'a Fields,
+    key: &str,
+    read: impl FnOnce(&'a Json, &str) -> Result<T, String>,
+) -> Result<Option<T>, String> {
+    match get(fields, key)? {
+        Json::Null => Ok(None),
+        value => read(value, key).map(Some),
+    }
+}
+
+/// Reads field `key` with `read`, or returns `default` when the field is
+/// absent — for fields added to a schema after its first version.
+pub fn get_or<T>(
+    fields: &Fields,
+    key: &str,
+    default: T,
+    read: impl FnOnce(&Fields, &str) -> Result<T, String>,
+) -> Result<T, String> {
+    if fields.iter().any(|(k, _)| k == key) {
+        read(fields, key)
+    } else {
+        Ok(default)
+    }
+}
+
+/// `value` as an object's fields.
+pub fn as_object<'a>(value: &'a Json, what: &str) -> Result<&'a Fields, String> {
+    match value {
+        Json::Object(fields) => Ok(fields),
+        other => Err(mismatch(what, "an object", other)),
+    }
+}
+
+/// `value` as an array.
+pub fn as_array<'a>(value: &'a Json, what: &str) -> Result<&'a [Json], String> {
+    match value {
+        Json::Array(items) => Ok(items),
+        other => Err(mismatch(what, "an array", other)),
+    }
+}
+
+/// `value` as an array of exactly `N` items — a pair, a triple, ….
+pub fn as_tuple<'a, const N: usize>(value: &'a Json, what: &str) -> Result<&'a [Json; N], String> {
+    let items = as_array(value, what)?;
+    items
+        .try_into()
+        .map_err(|_| format!("{what}: expected {N} items, got {}", items.len()))
+}
+
+/// `value` as a number.
+pub fn as_f64(value: &Json, what: &str) -> Result<f64, String> {
+    match value {
+        Json::Number(n) => Ok(*n),
+        other => Err(mismatch(what, "a number", other)),
+    }
+}
+
+/// `value` as a number, reading `null` as NaN (the serializer writes every
+/// non-finite float as `null`).
+pub fn as_f64_or_nan(value: &Json, what: &str) -> Result<f64, String> {
+    match value {
+        Json::Null => Ok(f64::NAN),
+        other => as_f64(other, what),
+    }
+}
+
+/// `value` as a non-negative integer a JSON number holds exactly: a
+/// negative, fractional, non-finite or above-2^53 number is an `Err`, so a
+/// malformed count or index is rejected, never truncated.
+pub fn as_u64(value: &Json, what: &str) -> Result<u64, String> {
+    let n = as_f64(value, what)?;
+    if n.fract() == 0.0 && (0.0..=MAX_EXACT_INT).contains(&n) {
+        Ok(n as u64)
+    } else {
+        Err(format!("{what}: expected a non-negative integer, got {n}"))
+    }
+}
+
+/// [`as_u64`] as an index.
+pub fn as_usize(value: &Json, what: &str) -> Result<usize, String> {
+    as_u64(value, what).map(|n| n as usize)
+}
+
+/// `value` as a bool.
+pub fn as_bool(value: &Json, what: &str) -> Result<bool, String> {
+    match value {
+        Json::Bool(b) => Ok(*b),
+        other => Err(mismatch(what, "a bool", other)),
+    }
+}
+
+/// `value` as a string slice.
+pub fn as_str<'a>(value: &'a Json, what: &str) -> Result<&'a str, String> {
+    match value {
+        Json::String(s) => Ok(s),
+        other => Err(mismatch(what, "a string", other)),
+    }
+}
+
+/// Field `key` as an object's fields.
+pub fn get_object<'a>(fields: &'a Fields, key: &str) -> Result<&'a Fields, String> {
+    read_field(fields, key, as_object)
+}
+
+/// Field `key` as an array, each item read with `read` (which receives the
+/// key as its description).
+pub fn get_vec<T>(
+    fields: &Fields,
+    key: &str,
+    mut read: impl FnMut(&Json, &str) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    read_field(fields, key, as_array)?
+        .iter()
+        .map(|item| read(item, key))
+        .collect()
+}
+
+/// Field `key` as a number.
+pub fn get_f64(fields: &Fields, key: &str) -> Result<f64, String> {
+    read_field(fields, key, as_f64)
+}
+
+/// Field `key` as a number, reading `null` as NaN — the trace-event
+/// convention, and a censored in-flight run's unrevealed quality.
+pub fn get_f64_or_nan(fields: &Fields, key: &str) -> Result<f64, String> {
+    read_field(fields, key, as_f64_or_nan)
+}
+
+/// Field `key` as a number, reading `null` as `-inf` — HYBRID's best-sum
+/// sentinel before its first round.
+pub fn get_f64_or_neg_inf(fields: &Fields, key: &str) -> Result<f64, String> {
+    read_field(fields, key, |value, what| match value {
+        Json::Null => Ok(f64::NEG_INFINITY),
+        other => as_f64(other, what),
+    })
+}
+
+/// Field `key` as a non-negative integer (see [`as_u64`]).
+pub fn get_u64(fields: &Fields, key: &str) -> Result<u64, String> {
+    read_field(fields, key, as_u64)
+}
+
+/// Field `key` as a `u32` — a format version, say; a larger integer is an
+/// `Err`, not truncated.
+pub fn get_u32(fields: &Fields, key: &str) -> Result<u32, String> {
+    let n = get_u64(fields, key)?;
+    u32::try_from(n).map_err(|_| format!("field {key:?}: {n} exceeds u32"))
+}
+
+/// [`get_u64`] as an index.
+pub fn get_usize(fields: &Fields, key: &str) -> Result<usize, String> {
+    read_field(fields, key, as_usize)
+}
+
+/// Field `key` as a bool.
+pub fn get_bool(fields: &Fields, key: &str) -> Result<bool, String> {
+    read_field(fields, key, as_bool)
+}
+
+/// Field `key` as an owned string.
+pub fn get_str(fields: &Fields, key: &str) -> Result<String, String> {
+    read_field(fields, key, as_str).map(str::to_string)
 }
 
 #[cfg(test)]
@@ -562,5 +774,62 @@ mod tests {
         let s = "héllo ∑ \u{1}";
         let rendered = to_string(s);
         assert_eq!(parse(&rendered).unwrap(), Json::String(s.into()));
+    }
+
+    #[test]
+    fn accessors_read_typed_fields_and_name_the_culprit() {
+        let doc =
+            parse(r#"{"n":3,"x":0.5,"z":null,"b":true,"s":"hi","v":[1,2],"p":[[0,1.5]]}"#).unwrap();
+        let f = as_object(&doc, "doc").unwrap();
+        assert_eq!(get_u64(f, "n"), Ok(3));
+        assert_eq!(get_f64(f, "x"), Ok(0.5));
+        assert!(get_f64_or_nan(f, "z").unwrap().is_nan());
+        assert_eq!(get_f64_or_neg_inf(f, "z"), Ok(f64::NEG_INFINITY));
+        assert_eq!(get_bool(f, "b"), Ok(true));
+        assert_eq!(get_str(f, "s").as_deref(), Ok("hi"));
+        assert_eq!(get_vec(f, "v", as_usize), Ok(vec![1, 2]));
+        let pairs = get_vec(f, "p", |v, what| {
+            let [a, b] = as_tuple(v, what)?;
+            Ok((as_usize(a, what)?, as_f64(b, what)?))
+        });
+        assert_eq!(pairs, Ok(vec![(0, 1.5)]));
+        assert_eq!(get_or(f, "absent", 7, get_u64), Ok(7));
+        assert_eq!(get_nullable(f, "z", as_f64), Ok(None));
+        assert_eq!(get_nullable(f, "x", as_f64), Ok(Some(0.5)));
+        assert_eq!(get(f, "absent"), Err("missing field \"absent\"".into()));
+        assert_eq!(
+            get_f64(f, "z"),
+            Err("field \"z\": expected a number, got Null".into())
+        );
+        assert_eq!(
+            get_bool(f, "n"),
+            Err("field \"n\": expected a bool, got Number(3.0)".into())
+        );
+        assert!(get_vec(f, "v", as_bool)
+            .unwrap_err()
+            .starts_with("v: expected a bool"));
+        assert!(as_tuple::<3>(&Json::Array(vec![]), "t")
+            .unwrap_err()
+            .contains("expected 3 items"));
+    }
+
+    #[test]
+    fn integers_are_validated_not_truncated() {
+        for bad in ["-1", "1.5", "-1.5", "1e300", "9007199254740994"] {
+            let v = parse(bad).unwrap();
+            let err = as_u64(&v, "idx").unwrap_err();
+            assert!(
+                err.contains("idx: expected a non-negative integer"),
+                "{err}"
+            );
+        }
+        assert_eq!(
+            as_usize(&parse("9007199254740992").unwrap(), "i"),
+            Ok(1 << 53)
+        );
+        assert_eq!(as_u64(&Json::Number(-0.0), "z"), Ok(0));
+        let big = parse("{\"v\":4294967299}").unwrap();
+        assert!(get_u32(as_object(&big, "doc").unwrap(), "v").is_err());
+        assert!(as_u64(&Json::Null, "n").is_err());
     }
 }

@@ -22,7 +22,11 @@
 //! only when a new log-bucket first appears, and collapses its lowest
 //! buckets when a hard bucket cap is hit.
 
+use crate::json::{
+    as_f64, as_object, as_tuple, as_u64, get_f64, get_nullable, get_u64, get_usize, get_vec, Json,
+};
 use easeml_wal::SplitMix64;
+use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// Values at or below this magnitude land in the sketch's zero bucket:
@@ -285,7 +289,7 @@ impl QuantileSketch {
 
 /// A [`QuantileSketch`]'s full state as plain data, for checkpointing and
 /// other out-of-process transport.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize)]
 pub struct SketchParts {
     /// Relative-error target α.
     pub alpha: f64,
@@ -305,6 +309,36 @@ pub struct SketchParts {
     pub min: Option<f64>,
     /// Largest accepted observation (`None` when empty).
     pub max: Option<f64>,
+}
+
+impl SketchParts {
+    /// Parses the parts from their JSON serialization (`what` names the
+    /// value in errors).
+    ///
+    /// # Errors
+    ///
+    /// A message naming the malformed or missing field.
+    pub fn from_value(value: &Json, what: &str) -> Result<Self, String> {
+        let f = as_object(value, what)?;
+        Ok(SketchParts {
+            alpha: get_f64(f, "alpha")?,
+            max_buckets: get_usize(f, "max_buckets")?,
+            buckets: get_vec(f, "buckets", |pair, _| {
+                let [index, count] = as_tuple(pair, "sketch bucket")?;
+                let index = as_f64(index, "sketch bucket")?;
+                if index.fract() != 0.0 || index.abs() > f64::from(i32::MAX) {
+                    return Err(format!("{what}: malformed sketch bucket index {index}"));
+                }
+                Ok((index as i32, as_u64(count, "sketch bucket")?))
+            })?,
+            zeros: get_u64(f, "zeros")?,
+            rejected: get_u64(f, "rejected")?,
+            collapsed: get_u64(f, "collapsed")?,
+            sum: get_f64(f, "sum")?,
+            min: get_nullable(f, "min", as_f64)?,
+            max: get_nullable(f, "max", as_f64)?,
+        })
+    }
 }
 
 /// One tracked heavy hitter: the estimated weight always *over*-counts the

@@ -22,11 +22,10 @@ use easeml::sim::{simulate_with_recorder, SchedulerKind, SimConfig};
 use easeml_data::{Dataset, SynConfig};
 use easeml_exec::simulate_multi_device_with_recorder;
 use easeml_gp::ArmPrior;
-use easeml_obs::json::Json;
+use easeml_obs::json::{as_bool, as_f64, as_str, as_u64, as_usize, Json};
 use easeml_obs::{
     schema_header_line, witness_records, Event, InMemoryRecorder, RecorderHandle, WitnessRecord,
 };
-use easeml_sched::PickRule;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt::Write as _;
@@ -104,31 +103,32 @@ impl ReplayScenario {
     /// # Errors
     ///
     /// Returns the JSON syntax error, or a message when the document is
-    /// not an object or a key has the wrong type.
+    /// not an object or a key is unknown or mistyped (a negative or
+    /// fractional count is mistyped, never truncated).
     pub fn from_json(text: &str) -> Result<Self, String> {
         let doc = easeml_obs::json::parse(text).map_err(|e| format!("scenario JSON: {e}"))?;
-        let Json::Object(pairs) = doc else {
+        let Json::Object(fields) = doc else {
             return Err("scenario JSON must be an object".to_string());
         };
         let mut out = ReplayScenario::default();
-        for (key, value) in &pairs {
-            match (key.as_str(), value) {
-                ("users", Json::Number(n)) => out.users = *n as usize,
-                ("models", Json::Number(n)) => out.models = *n as usize,
-                ("dataset_seed", Json::Number(n)) => out.dataset_seed = *n as u64,
-                ("sim_seed", Json::Number(n)) => out.sim_seed = *n as u64,
-                ("budget", Json::Number(n)) => out.budget = *n,
-                ("kind", Json::String(s)) => out.kind = s.clone(),
-                ("cost_aware", Json::Bool(b)) => out.cost_aware = *b,
-                ("noise_var", Json::Number(n)) => out.noise_var = *n,
-                ("delta", Json::Number(n)) => out.delta = *n,
-                ("crash_rate", Json::Number(n)) => out.crash_rate = *n,
-                ("timeout_rate", Json::Number(n)) => out.timeout_rate = *n,
-                ("invalid_rate", Json::Number(n)) => out.invalid_rate = *n,
-                (other, _) => {
-                    return Err(format!("scenario key {other:?} is unknown or mistyped"));
-                }
-            }
+        for (key, value) in &fields {
+            let key = key.as_str();
+            let set = match key {
+                "users" => as_usize(value, key).map(|n| out.users = n),
+                "models" => as_usize(value, key).map(|n| out.models = n),
+                "dataset_seed" => as_u64(value, key).map(|n| out.dataset_seed = n),
+                "sim_seed" => as_u64(value, key).map(|n| out.sim_seed = n),
+                "budget" => as_f64(value, key).map(|x| out.budget = x),
+                "kind" => as_str(value, key).map(|k| out.kind = k.to_string()),
+                "cost_aware" => as_bool(value, key).map(|b| out.cost_aware = b),
+                "noise_var" => as_f64(value, key).map(|x| out.noise_var = x),
+                "delta" => as_f64(value, key).map(|x| out.delta = x),
+                "crash_rate" => as_f64(value, key).map(|x| out.crash_rate = x),
+                "timeout_rate" => as_f64(value, key).map(|x| out.timeout_rate = x),
+                "invalid_rate" => as_f64(value, key).map(|x| out.invalid_rate = x),
+                _ => Err(String::new()),
+            };
+            set.map_err(|_| format!("scenario key {key:?} is unknown or mistyped"))?;
         }
         Ok(out)
     }
@@ -197,19 +197,18 @@ impl ReplayScenario {
     /// Rejects unknown names and the §5.2 heuristics (`most-cited`,
     /// `most-recent`), which emit no decision witnesses to diff.
     pub fn scheduler_kind(&self) -> Result<SchedulerKind, String> {
-        match self.kind.as_str() {
-            "fcfs" => Ok(SchedulerKind::Fcfs),
-            "round-robin" => Ok(SchedulerKind::RoundRobin),
-            "random" => Ok(SchedulerKind::Random),
-            "greedy(max-gap)" => Ok(SchedulerKind::Greedy(PickRule::MaxUcbGap)),
-            "greedy(max-sigma)" => Ok(SchedulerKind::Greedy(PickRule::MaxSigmaTilde)),
-            "greedy(random)" => Ok(SchedulerKind::Greedy(PickRule::Random)),
-            "hybrid" | "ease-ml" => Ok(SchedulerKind::Hybrid),
-            "most-cited" | "most-recent" => Err(format!(
+        let name = if self.kind == "ease-ml" {
+            "hybrid"
+        } else {
+            &self.kind
+        };
+        match SchedulerKind::from_name(name) {
+            Some(kind) if kind.is_heuristic() => Err(format!(
                 "kind {:?} is a §5.2 heuristic; it records no decision witnesses to diff",
                 self.kind
             )),
-            other => Err(format!("unknown scheduler kind {other:?}")),
+            Some(kind) => Ok(kind),
+            None => Err(format!("unknown scheduler kind {:?}", self.kind)),
         }
     }
 }
@@ -480,6 +479,7 @@ mod tests {
         assert!(ReplayScenario::from_json("[1,2]").is_err());
         assert!(ReplayScenario::from_json("{\"bogus\":1}").is_err());
         assert!(ReplayScenario::from_json("{\"users\":\"five\"}").is_err());
+        assert!(ReplayScenario::from_json("{\"users\":-1.5}").is_err());
     }
 
     #[test]

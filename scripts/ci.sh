@@ -14,6 +14,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test --workspace"
 cargo test --workspace -q
 
+echo "==> perfbench smoke test (the frozen benchmark builds against the public API)"
+cargo test --release --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo doc (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
