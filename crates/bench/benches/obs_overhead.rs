@@ -1,6 +1,6 @@
 //! Guards the "zero-cost when disabled" claim of `easeml-obs`.
 //!
-//! Three variants of the same full HYBRID simulation (10 users x 20 models,
+//! Four variants of the same full HYBRID simulation (10 users x 20 models,
 //! 50% budget, fixed seed):
 //!
 //! * `sim/noop_recorder_overhead` — plain [`simulate`], i.e. the default
@@ -15,9 +15,7 @@
 //!   [`JsonlFileSink`], bounding the cost of streaming the trace to disk.
 //!
 //! The first two must be statistically indistinguishable; the last two
-//! bound the price of turning recording on. After the timings, one
-//! instrumented run dumps a machine-readable perf snapshot (JSONL trace +
-//! per-component quantiles) under `target/experiments/`.
+//! bound the price of turning recording on.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use easeml::prelude::*;
@@ -124,12 +122,5 @@ fn bench_overhead(c: &mut Criterion) {
     });
 }
 
-fn perf_snapshot(_c: &mut Criterion) {
-    match easeml_bench::obs_snapshot("obs_snapshot") {
-        Some(p) => println!("perf snapshot: {}", p.display()),
-        None => println!("perf snapshot: skipped (filesystem unavailable)"),
-    }
-}
-
-criterion_group!(benches, bench_overhead, perf_snapshot);
+criterion_group!(benches, bench_overhead);
 criterion_main!(benches);

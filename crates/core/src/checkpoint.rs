@@ -17,8 +17,8 @@ use crate::fault::{FaultConfig, FaultInjector, FaultRates};
 use crate::retry::RetryPolicy;
 use easeml_obs::json::{
     self, as_f64, as_object, as_str, as_tuple, as_u64, as_usize, get, get_bool, get_f64,
-    get_f64_or_neg_inf, get_nullable, get_object, get_str, get_u32, get_u64, get_usize, get_vec,
-    Json,
+    get_f64_in, get_f64_or_neg_inf, get_nullable, get_object, get_str, get_u32, get_u64, get_usize,
+    get_vec, Json,
 };
 use easeml_sched::{HybridState, PickRule};
 use serde::{Serialize, Serializer};
@@ -330,8 +330,10 @@ impl CheckpointDoc {
         Ok(CheckpointDoc {
             version,
             rng_state,
-            noise_var: get_f64(fields, "noise_var")?,
-            delta: get_f64(fields, "delta")?,
+            noise_var: get_f64_in(fields, "noise_var", "finite and > 0", |v| {
+                v.is_finite() && v > 0.0
+            })?,
+            delta: get_f64_in(fields, "delta", "in (0, 1)", |v| v > 0.0 && v < 1.0)?,
             step: get_u64(fields, "step")?,
             warmed_up: get_u64(fields, "warmed_up")?,
             rounds: get_u64(fields, "rounds")?,
@@ -734,6 +736,28 @@ mod tests {
         let err =
             CheckpointDoc::from_json(&format!("{{\"version\":{CHECKPOINT_VERSION}}}")).unwrap_err();
         assert!(err.to_string().contains("rng_state"), "{err}");
+    }
+
+    #[test]
+    fn out_of_domain_numbers_are_rejected_not_panicked() {
+        let json = sample().to_json();
+        for (field, bad) in [
+            ("delta", "0"),
+            ("delta", "-0.5"),
+            ("delta", "1"),
+            ("delta", "1e999"),
+            ("noise_var", "0"),
+            ("noise_var", "-0.001"),
+            ("noise_var", "1e999"),
+        ] {
+            let doc = json.replacen(
+                &format!("\"{field}\":"),
+                &format!("\"{field}\":{bad},\"was\":"),
+                1,
+            );
+            let err = CheckpointDoc::from_json(&doc).expect_err(bad);
+            assert!(err.to_string().contains(field), "{field}={bad}: {err}");
+        }
     }
 
     fn scratch_path(tag: &str) -> std::path::PathBuf {

@@ -29,8 +29,8 @@ use easeml::TaskState;
 use easeml_data::Dataset;
 use easeml_gp::ArmPrior;
 use easeml_obs::json::{
-    self, as_bool, as_f64, as_object, as_tuple, as_u64, get, get_bool, get_f64, get_f64_or_nan,
-    get_nullable, get_str, get_u32, get_u64, get_usize, get_vec,
+    self, as_bool, as_f64, as_object, as_tuple, as_u64, get, get_bool, get_f64, get_f64_in,
+    get_f64_or_nan, get_nullable, get_str, get_u32, get_u64, get_usize, get_vec,
 };
 use easeml_obs::{QuantileSketch, RecorderHandle, SketchParts};
 use easeml_sched::Hybrid;
@@ -553,10 +553,14 @@ impl ExecCheckpoint {
             version,
             kind: get_str(fields, "kind")?,
             seed: get_str(fields, "seed")?,
-            budget: get_f64(fields, "budget")?,
+            budget: get_f64_in(fields, "budget", "finite and >= 0", |v| {
+                v.is_finite() && v >= 0.0
+            })?,
             cost_aware: get_bool(fields, "cost_aware")?,
-            noise_var: get_f64(fields, "noise_var")?,
-            delta: get_f64(fields, "delta")?,
+            noise_var: get_f64_in(fields, "noise_var", "finite and > 0", |v| {
+                v.is_finite() && v > 0.0
+            })?,
+            delta: get_f64_in(fields, "delta", "in (0, 1)", |v| v > 0.0 && v < 1.0)?,
             devices,
             now: get_f64(fields, "now")?,
             next_seq: get_u64(fields, "next_seq")?,
@@ -676,6 +680,30 @@ mod tests {
         let doc = json.replacen(&next_seq, "\"next_seq\":-2,", 1);
         let err = ExecCheckpoint::from_json(&doc).unwrap_err();
         assert!(err.contains("next_seq"), "{err}");
+    }
+
+    #[test]
+    fn out_of_domain_numbers_are_rejected_not_panicked() {
+        let d = small_dataset();
+        let json = mid_flight_checkpoint(&d, &flat_priors(&d)).to_json();
+        for (field, bad) in [
+            ("delta", "0"),
+            ("delta", "-0.5"),
+            ("delta", "1"),
+            ("noise_var", "0"),
+            ("noise_var", "-0.001"),
+            ("noise_var", "1e999"),
+            ("budget", "-1"),
+            ("budget", "1e999"),
+        ] {
+            let doc = json.replacen(
+                &format!("\"{field}\":"),
+                &format!("\"{field}\":{bad},\"was\":"),
+                1,
+            );
+            let err = ExecCheckpoint::from_json(&doc).expect_err(bad);
+            assert!(err.contains(field), "{field}={bad}: {err}");
+        }
     }
 
     #[test]

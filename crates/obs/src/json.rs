@@ -673,6 +673,26 @@ pub fn get_f64(fields: &Fields, key: &str) -> Result<f64, String> {
     read_field(fields, key, as_f64)
 }
 
+/// Field `key` as a number that `in_domain` accepts; `domain` names the
+/// accepted set in the error (`"in (0, 1)"`, say). Restores feed such
+/// numbers to logarithms and divisions, so an out-of-domain value is an
+/// `Err` here rather than a silent NaN later.
+pub fn get_f64_in(
+    fields: &Fields,
+    key: &str,
+    domain: &str,
+    in_domain: impl FnOnce(f64) -> bool,
+) -> Result<f64, String> {
+    let n = get_f64(fields, key)?;
+    if in_domain(n) {
+        Ok(n)
+    } else {
+        Err(format!(
+            "field {key:?}: expected a number {domain}, got {n}"
+        ))
+    }
+}
+
 /// Field `key` as a number, reading `null` as NaN — the trace-event
 /// convention, and a censored in-flight run's unrevealed quality.
 pub fn get_f64_or_nan(fields: &Fields, key: &str) -> Result<f64, String> {

@@ -66,7 +66,10 @@
 //! [`CallTreeProfile`] (offline, from any trace) or maintains it online
 //! through a global [`Profiler`] fed directly by span guards, with
 //! optional allocation accounting via the [`CountingAlloc`] global
-//! allocator. See the `profile` module docs.
+//! allocator. See the `profile` module docs. The workspace's performance
+//! gates read this layer: `tests/cost_model.rs` pins the exact per-node
+//! allocation counts of seeded runs, and `perfbench --trace 1` derives its
+//! per-layer self-time and allocation rows from the same call tree.
 
 mod alloc;
 mod event;

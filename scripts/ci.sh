@@ -14,6 +14,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test --workspace"
 cargo test --workspace -q
 
+echo "==> cost model in release (exact counts must match the debug build's)"
+cargo test --release --test cost_model
+
 echo "==> perfbench smoke test (the frozen benchmark builds against the public API)"
 cargo test --release --manifest-path perfbench/Cargo.toml
 
